@@ -92,7 +92,8 @@ def parse_domain(text: str):
     kind, _, rest = text.partition(":")
     vals = [float(v) for v in rest.split(",")] if rest else []
     if kind == "interval":
-        return Interval(vals[0], vals[1])
+        _check_arity(kind, vals, ("a", "b"))
+        return Interval(*vals)
     if kind == "box":
         if len(vals) == 4:
             return Box((vals[0], vals[2]), (vals[1], vals[3]))
@@ -100,8 +101,18 @@ def parse_domain(text: str):
             return Box((vals[0], vals[2], vals[4]), (vals[1], vals[3], vals[5]))
         raise UnsupportedDomainError("box needs 4 or 6 bounds")
     if kind == "disk":
-        return Disk(vals[0], vals[1], vals[2])
+        _check_arity(kind, vals, ("cx", "cy", "r"))
+        return Disk(*vals)
     raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+
+
+def _check_arity(kind: str, vals, names) -> None:
+    if len(vals) < len(names):
+        raise UnsupportedDomainError(
+            f"{kind} needs {','.join(names)}: missing {','.join(names[len(vals):])}")
+    if len(vals) > len(names):
+        raise UnsupportedDomainError(
+            f"{kind} needs {','.join(names)}: got {len(vals)} values")
 
 
 # --------------------------------------------------------------------------

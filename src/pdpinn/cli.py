@@ -11,6 +11,7 @@ import numpy as np
 
 from . import bounds, config, problems, training
 from .dictionaries import DictionarySpec
+from .diffgraph import NonFiniteError
 from .network import load_checkpoint, save_checkpoint
 from .problems import POLE_EPS, ground_truth
 from .training import DivergenceError, predict_values
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -96,7 +96,7 @@ def load_config(path) -> ExperimentConfig:
     if "dictionary" in exp:
         try:
             cfg.dictionary = DictionarySpec.parse(exp["dictionary"])
-        except (ValueError, IndexError) as e:
+        except ValueError as e:
             raise ValueError(f"{path}: experiment.dictionary: {e}") from None
         if cfg.dictionary.kind == "none":
             cfg.lift = False

@@ -2,7 +2,7 @@
 
 Each word is a closed-form function of the problem coordinates, evaluated
 as a ``Jet2`` so the PDE operator can act on the fused predictor.  Words
-never depend on network parameters; they enter the tape as constants.
+never depend on network parameters; they enter training as constants.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import numpy as np
 from . import diffgraph as dg
 from .diffgraph import Jet2, stack_jets
 
-KINDS = ("none", "fourier1d", "fourier2d", "diffusion1d-fourier",
-         "spherical-harmonics")
+# every kind, with the parameters its label takes in order
+_PARAMS = {"none": (), "fourier1d": ("k",), "fourier2d": ("k1", "k2"),
+           "diffusion1d-fourier": ("k",), "spherical-harmonics": ("l_max",)}
+KINDS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,17 @@ class DictionarySpec:
         """Inverse of ``label``, e.g. 'fourier1d:8' or 'fourier2d:5,5'."""
         kind, _, params = text.partition(":")
         kind = kind.strip()
-        if kind == "none":
-            return DictionarySpec("none")
+        if kind not in _PARAMS:
+            raise ValueError(f"unknown dictionary kind {kind!r}")
+        names = _PARAMS[kind]
         nums = [int(p) for p in params.split(",")] if params else []
-        if kind in ("fourier1d", "diffusion1d-fourier"):
-            return DictionarySpec(kind, k=nums[0])
-        if kind == "fourier2d":
-            return DictionarySpec(kind, k1=nums[0], k2=nums[1])
-        if kind == "spherical-harmonics":
-            return DictionarySpec(kind, l_max=nums[0])
-        raise ValueError(f"unknown dictionary kind {kind!r}")
+        if len(nums) < len(names):
+            raise ValueError(f"{kind} needs {','.join(names)}: "
+                             f"missing {','.join(names[len(nums):])}")
+        if len(nums) > len(names):
+            raise ValueError(f"{kind} takes {len(names)} parameter(s), "
+                             f"got {len(nums)}")
+        return DictionarySpec(kind, **dict(zip(names, nums)))
 
 
 # --------------------------------------------------------------------------
@@ -209,19 +212,12 @@ def eval_spherical_harmonics(l_max: int, theta: Jet2, phi: Jet2) -> Jet2:
     return stack_jets(words)
 
 
-def fuse(dict_jets, net_jets):
-    """Inner product of dictionary and network outputs, full product rule.
-
-    Works for plain jets and for a traced network output against constant
-    dictionary jets.
-    """
+def fuse(dict_jets: Jet2, net_jets: Jet2) -> Jet2:
+    """Inner product of dictionary and network outputs, full product rule."""
     d_width = dict_jets.value.shape[-1]
-    n_width = (net_jets.jet.value.shape[-1]
-               if hasattr(net_jets, "jet") else net_jets.value.shape[-1])
+    n_width = net_jets.value.shape[-1]
     if d_width != n_width:
         raise ValueError(f"fuse: {d_width} words vs {n_width} network outputs")
-    if isinstance(net_jets, dg.TracedJet):
-        return dg.dot_words(dict_jets, net_jets)
     return dg.sum_words(dg.mul(dict_jets, net_jets))
 
 

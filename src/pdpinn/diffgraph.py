@@ -11,8 +11,9 @@ Two layers live here:
 * A small reverse-mode tape (``TracedJet`` / ``TracedArray``) records the
   same primitive applications so that the exact gradient of a scalar loss
   with respect to network parameters can be accumulated.  The backward pass
-  differentiates through the jet propagation itself, so losses that contain
-  input second derivatives get exact parameter gradients.
+  differentiates through the jet propagation itself.  Training does not
+  run on it (``network.SlotPass`` has its own adjoint); the tests use it
+  as an independent reference for that adjoint.
 
 All arithmetic is float64; second derivatives amplify rounding and single
 precision does not survive the finite-difference tolerances used in tests.
@@ -31,7 +32,14 @@ class JetDomainError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A traced primitive produced NaN/Inf; the message names the node."""
+    """A computation produced NaN/Inf; the message says where.
+
+    ``row`` is the first batch row holding a non-finite entry, when known.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 def _as_f64(a) -> np.ndarray:
@@ -191,7 +199,8 @@ def _ipow(v: np.ndarray, e: int) -> np.ndarray:
     return 1.0 / v ** (-e)
 
 
-def _tanh_derivs(v: np.ndarray):
+def tanh_derivs(v: np.ndarray):
+    """tanh and its first three derivatives at ``v``."""
     t = np.tanh(v)
     s = 1.0 - t * t
     return t, s, -2.0 * t * s, s * (6.0 * t * t - 2.0)
@@ -490,7 +499,7 @@ def tanh(x):
     if isinstance(x, TracedJet):
         d = x.dim
         xv, x1, x2 = x.aug[..., 0], x.aug[..., 1:1 + d], x.aug[..., 1 + d:]
-        t, f1, f2, f3 = _tanh_derivs(xv)
+        t, f1, f2, f3 = tanh_derivs(xv)
         f1e, f2e = f1[..., None], f2[..., None]
         out = np.empty_like(x.aug)
         out[..., 0] = t
@@ -510,7 +519,7 @@ def tanh(x):
             acc[..., 1 + d:] = g2 * f1e
             x._bump(acc)
         return TracedJet(out, d, (x,), bw, "tanh")
-    t, f1, f2, _ = _tanh_derivs(x.value)
+    t, f1, f2, _ = tanh_derivs(x.value)
     return chain_univariate(x, t, f1, f2)
 
 
@@ -576,37 +585,6 @@ def _traced_mul(a, b):
     return TracedJet(_pack(out), dim, parents, bw, "mul")
 
 
-def dot_words(const: Jet2, net) -> "TracedJet":
-    """Traced inner product over the word axis against constant jets.
-
-    Fuses mul and sum into one node; backward follows the product rule
-    toward the traced side only.
-    """
-    if not isinstance(net, TracedJet):
-        raise TypeError("dot_words expects a traced network output")
-    d = net.dim
-    cv, c1, c2 = const.value, const.d1, const.d2
-    nv, n1, n2 = net.aug[..., 0], net.aug[..., 1:1 + d], net.aug[..., 1 + d:]
-    cve, nve = cv[..., None], nv[..., None]
-    out = np.empty(nv.shape[:-1] + (1 + 2 * d,))
-    out[..., 0] = np.sum(cv * nv, axis=-1)
-    out[..., 1:1 + d] = np.sum(c1 * nve + cve * n1, axis=-2)
-    out[..., 1 + d:] = np.sum((c2 * nve + cve * n2) + 2.0 * (c1 * n1), axis=-2)
-
-    def bw(o):
-        g = o._grad()
-        gv, g1, g2 = g[..., 0], g[..., 1:1 + d], g[..., 1 + d:]
-        g1e, g2e = g1[..., None, :], g2[..., None, :]
-        acc = np.empty_like(net.aug)
-        acc[..., 0] = (gv[..., None] * cv
-                       + np.sum(g1e * c1, axis=-1)
-                       + np.sum(g2e * c2, axis=-1))
-        acc[..., 1:1 + d] = g1e * cve + 2.0 * g2e * c1
-        acc[..., 1 + d:] = g2e * cve
-        net._bump(acc)
-    return TracedJet(out, d, (net,), bw, "dot-words")
-
-
 def sum_words(x, axis: int = -1):
     """Sum along a value axis (used to contract dictionary words)."""
     if isinstance(x, TracedJet):
@@ -626,30 +604,3 @@ def sum_words(x, axis: int = -1):
 def trace_input(jet: Jet2) -> TracedJet:
     """Put a constant jet (the network input) on the tape as a leaf."""
     return TracedJet(_pack(jet), jet.dim)
-
-
-# --------------------------------------------------------------------------
-# Name-based primitive dispatch
-# --------------------------------------------------------------------------
-
-def jet_primitive(kind: str, *args):
-    """Apply one primitive by name.
-
-    Supported kinds: add, sub, mul, div, pow-int, sin, cos, tanh, exp,
-    affine.  Arguments follow the natural signature of each primitive.
-    """
-    table = {
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": mul,
-        "div": lambda a, b: a / b,
-        "pow-int": powi,
-        "sin": sin,
-        "cos": cos,
-        "tanh": tanh,
-        "exp": exp,
-        "affine": affine,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown primitive kind {kind!r}")
-    return table[kind](*args)

@@ -169,7 +169,8 @@ def operator_terms(p: ProblemSpec, points):
     """The operator as a sum of coefficient * (derivative component).
 
     Returns [(order, coordinate, coefficient array or None)] where None
-    stands for coefficient one.  Shared by plain and traced evaluation.
+    stands for coefficient one.  Training reads it to build dL/dF, since
+    the operator is linear in the derivative components.
     """
     pts = _pts(points)
     if p.id == "poisson1d":
@@ -186,19 +187,11 @@ def operator_terms(p: ProblemSpec, points):
     return [(2, 0, None), (1, 1, -1.0)]
 
 
-def apply_operator(p: ProblemSpec, F, points):
-    """Apply the problem operator to predictor jets at the same points.
-
-    ``F`` is a Jet2 (returns an array) or a TracedJet (returns a traced
-    array feeding the loss graph).
-    """
-    traced = isinstance(F, dg.TracedJet)
+def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
+    """Apply the problem operator to predictor jets at the same points."""
     acc = None
     for order, coord, coeff in operator_terms(p, points):
-        if traced:
-            term = F.d1_arr(coord) if order == 1 else F.d2_arr(coord)
-        else:
-            term = F.d1[..., coord] if order == 1 else F.d2[..., coord]
+        term = F.d1[..., coord] if order == 1 else F.d2[..., coord]
         if coeff is not None:
             term = term * coeff
         acc = term if acc is None else acc + term

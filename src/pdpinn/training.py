@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffgraph as dg
-from .diffgraph import Jet2, ParamStore
+from .diffgraph import Jet2, NonFiniteError, ParamStore
 from .dictionaries import DictionarySpec, eval_dictionary, fuse, lift_sphere
-from .network import MlpConfig, init_mlp, mlp_forward
-from .problems import ProblemSpec, apply_operator, boundary_value, ground_truth, rhs
+from .network import VALUES, MlpConfig, SlotLayout, SlotPass, init_mlp, mlp_forward
+from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth,
+                       operator_terms, rhs)
 from .sampling import SampleBatch, sample_boundary, sample_interior
 
 DIVERGENCE_LIMIT = 1e12
@@ -86,87 +86,90 @@ def net_input_jet(p: ProblemSpec, points: np.ndarray, lift: bool) -> Jet2:
 
 
 def predictor_jets(layers, p: ProblemSpec, dspec: DictionarySpec,
-                   points: np.ndarray, lift: bool):
-    """Fused predictor jets at points.
+                   points: np.ndarray, lift: bool) -> Jet2:
+    """Fused predictor jets at points, through the plain ``Jet2`` pass.
 
-    ``layers`` as in ``mlp_forward``; pass Parameter leaves to record the
-    tape.  With no dictionary the network's single output is the predictor,
-    bit for bit.
+    With no dictionary the network's single output is the predictor, bit
+    for bit.
     """
-    x = net_input_jet(p, points, lift)
-    traced = hasattr(layers[0][0], "arr")
-    if traced:
-        x = dg.trace_input(x)
-    net = mlp_forward(layers, x)
+    net = mlp_forward(layers, net_input_jet(p, points, lift))
     if dspec.kind == "none":
-        if traced:
-            return _traced_single_output(net)
         return net.component(0)
-    words = eval_dictionary(dspec, points)
-    return fuse(words, net)
+    return fuse(eval_dictionary(dspec, points), net)
 
 
-def _traced_single_output(net: dg.TracedJet) -> dg.TracedJet:
-    out = net.aug[:, 0, :]
+def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
+                    lift: bool, layout: SlotLayout):
+    """Network input and dictionary words at points, packed by ``layout``.
 
-    def bw(o):
-        acc = np.zeros_like(net.aug)
-        acc[:, 0, :] = o._grad()
-        net._bump(acc)
-    return dg.TracedJet(out, net.dim, (net,), bw, "select-output")
+    The words are None without a dictionary.
+    """
+    x = layout.pack(net_input_jet(p, points, lift))
+    if dspec.kind == "none":
+        return x, None
+    return x, layout.pack(eval_dictionary(dspec, points))
+
+
+def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
+               points: np.ndarray) -> SlotPass:
+    """``SlotPass`` on ``predictor_slots`` output; a NaN/Inf report names
+    the sample point."""
+    try:
+        return SlotPass(store.layers, layout, *slots)
+    except NonFiniteError as e:
+        raise NonFiniteError(
+            f"{e}; batch point {np.array2string(points[e.row])}") from None
 
 
 def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                    points: np.ndarray, lift: bool) -> np.ndarray:
-    F = predictor_jets(store.layers, p, dspec, points, lift)
-    return F.value
+    slots = predictor_slots(p, dspec, points, lift, VALUES)
+    return _slot_pass(store, VALUES, slots, points).F[0]
 
 
 # --------------------------------------------------------------------------
 # Empirical losses
 # --------------------------------------------------------------------------
 
-def _traced_predictor(store, p, dspec, points, lift):
-    leaves = dg.wrap_params(store)
-    F = predictor_jets(leaves, p, dspec, points, lift)
-    return leaves, F
-
-
-def _blame_point(e: dg.NonFiniteError, points: np.ndarray) -> dg.NonFiniteError:
-    """Attach the first offending sample point to an engine error."""
-    bad = np.nonzero(~np.all(np.isfinite(points), axis=1))[0]
-    where = points[bad[0]] if bad.size else points[0]
-    return dg.NonFiniteError(f"{e}; batch point {np.array2string(where)}")
-
-
 def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                        batch: SampleBatch, lift: bool = False):
-    """Mean squared PDE residual over an interior batch, with gradient."""
+    """Mean squared PDE residual over an interior batch, with gradient.
+
+    The operator is linear in the predictor slots, so dL/dF is 2 r c / n on
+    each slot it reads with coefficient c.  Only the d2 slots up to the
+    last coordinate the operator differentiates twice are carried.
+    """
     if batch.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
-    try:
-        leaves, F = _traced_predictor(store, p, dspec, batch.points, lift)
-        r = apply_operator(p, F, batch.points) - rhs(p, batch.points)
-        loss = (r * r).mean()
-    except dg.NonFiniteError as e:
-        raise _blame_point(e, batch.points) from None
-    grad = dg.loss_parameter_gradient(loss, leaves)
-    return float(loss.arr), grad
+    pts = batch.points
+    terms = operator_terms(p, pts)
+    layout = SlotLayout(p.coord_names,
+                        d2=1 + max((c for order, c, _ in terms if order == 2),
+                                   default=-1))
+    fwd = _slot_pass(store, layout, predictor_slots(p, dspec, pts, lift, layout),
+                     pts)
+    F, dim = fwd.F, p.dim
+    r = apply_operator(p, Jet2(F[0], F[1:1 + dim].T, F[1 + dim:].T), pts) - rhs(p, pts)
+    g = (2.0 / r.size) * r
+    gF = np.zeros_like(F)
+    for order, coord, coeff in terms:
+        gF[layout.slot(order, coord)] += g if coeff is None else g * coeff
+    return float(np.mean(r * r)), fwd.gradient(gF)
 
 
 def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                       batch: SampleBatch, lift: bool = False):
-    """Mean squared boundary mismatch over a boundary batch, with gradient."""
+    """Mean squared boundary mismatch over a boundary batch, with gradient.
+
+    Only values enter, so the pass carries the value slot alone.
+    """
     if batch.region != "boundary":
         raise ValueError("BC loss needs a boundary batch")
-    try:
-        leaves, F = _traced_predictor(store, p, dspec, batch.points, lift)
-        m = F.value_arr() - boundary_value(p, batch.points)
-        loss = (m * m).mean()
-    except dg.NonFiniteError as e:
-        raise _blame_point(e, batch.points) from None
-    grad = dg.loss_parameter_gradient(loss, leaves)
-    return float(loss.arr), grad
+    pts = batch.points
+    fwd = _slot_pass(store, VALUES, predictor_slots(p, dspec, pts, lift, VALUES),
+                     pts)
+    m = fwd.F[0] - boundary_value(p, pts)
+    return float(np.mean(m * m)), fwd.gradient((2.0 / m.size) * m[None])
 
 
 def predict_error(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
@@ -235,15 +238,12 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     # fixed evaluation set: same points as predict_error with the eval seed
     eval_pts = sample_interior(p, settings.n_pred,
                                np.random.default_rng(settings.eval_seed)).points
-    eval_input = net_input_jet(p, eval_pts, lift)
-    eval_words = (None if dspec.kind == "none"
-                  else eval_dictionary(dspec, eval_pts))
+    eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES)
     eval_truth = ground_truth(p, eval_pts)
 
     def current_error() -> float:
-        net = mlp_forward(store.layers, eval_input)
-        F = net.component(0) if eval_words is None else fuse(eval_words, net)
-        return float(np.mean((F.value - eval_truth) ** 2))
+        F = _slot_pass(store, VALUES, eval_slots, eval_pts).F[0]
+        return float(np.mean((F - eval_truth) ** 2))
 
     if not settings.fresh_batches:
         fixed_interior = sample_interior(p, n_pde, rng)

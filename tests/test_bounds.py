@@ -104,6 +104,12 @@ class TestRegularity:
         with pytest.raises(UnsupportedDomainError):
             parse_domain("box:0,1")
 
+    def test_parse_domain_names_missing_parameter(self):
+        with pytest.raises(UnsupportedDomainError, match="missing b$"):
+            parse_domain("interval:1")
+        with pytest.raises(UnsupportedDomainError, match="missing cy,r"):
+            parse_domain("disk:0")
+
 
 class TestLipschitz:
     def test_sine_slope_one(self):

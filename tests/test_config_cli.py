@@ -112,6 +112,11 @@ class TestRunCommand:
         assert rc == 0
         assert (tmp_path / "out" / "summary.json").exists()
 
+    def test_dictionary_without_parameter_exits_2(self, capsys):
+        rc = cli.main(["run", "--preset", "poisson1d", "--dictionary", "fourier1d"])
+        assert rc == 2
+        assert "missing k" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         path = tmp_path / "diverge.ini"
         path.write_text("[experiment]\nproblem = poisson1d\n"
@@ -169,6 +174,11 @@ class TestRegularityCommand:
     def test_bad_domain(self, capsys):
         rc = cli.main(["regularity", "--domain", "octagon:1"])
         assert rc == 2
+
+    def test_interval_without_upper_end_exits_2(self, capsys):
+        rc = cli.main(["regularity", "--domain", "interval:1"])
+        assert rc == 2
+        assert "missing b" in capsys.readouterr().err
 
 
 class TestBoundsCommand:

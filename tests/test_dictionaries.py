@@ -32,6 +32,14 @@ class TestSpec:
         with pytest.raises(ValueError):
             DictionarySpec.parse("wavelets:3")
 
+    def test_parse_names_missing_parameter(self):
+        with pytest.raises(ValueError, match="missing k$"):
+            DictionarySpec.parse("fourier1d")
+        with pytest.raises(ValueError, match="missing k2"):
+            DictionarySpec.parse("fourier2d:5")
+        with pytest.raises(ValueError, match="got 2"):
+            DictionarySpec.parse("spherical-harmonics:3,4")
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DictionarySpec("fourier1d", k=0)

@@ -32,23 +32,6 @@ class TestPrimitives:
         assert t.d1[0, 0] == 1.0
         assert t.d2[0, 0] == 0.0
 
-    def test_primitive_dispatch_table(self):
-        x = scalar_jet(0.3)
-        y = scalar_jet(1.2)
-        assert dg.jet_primitive("add", x, y).value[0] == pytest.approx(1.5)
-        assert dg.jet_primitive("sub", x, y).value[0] == pytest.approx(-0.9)
-        assert dg.jet_primitive("mul", x, y).value[0] == pytest.approx(0.36)
-        assert dg.jet_primitive("div", x, y).value[0] == pytest.approx(0.25)
-        assert dg.jet_primitive("pow-int", x, 3).value[0] == pytest.approx(0.027)
-        for kind, fn in (("sin", np.sin), ("cos", np.cos),
-                         ("tanh", np.tanh), ("exp", np.exp)):
-            assert dg.jet_primitive(kind, x).value[0] == pytest.approx(fn(0.3))
-        W, b = np.array([[2.0]]), np.array([1.0])
-        out = dg.jet_primitive("affine", Jet2.seed(np.array([[0.3]])), W, b)
-        assert out.value[0, 0] == pytest.approx(1.6)
-        with pytest.raises(ValueError):
-            dg.jet_primitive("nope", x)
-
     def test_division_by_zero_raises(self):
         x = scalar_jet(1.0)
         with pytest.raises(JetDomainError):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from pdpinn import diffgraph as dg
 from pdpinn import problems, training
-from pdpinn.dictionaries import DictionarySpec
-from pdpinn.diffgraph import Jet2
-from pdpinn.network import MlpConfig, init_mlp, mlp_forward
-from pdpinn.problems import apply_operator, boundary_value, ground_truth_jet, rhs
-from pdpinn.sampling import sample_boundary, sample_interior
+from pdpinn.dictionaries import DictionarySpec, eval_dictionary
+from pdpinn.diffgraph import Jet2, NonFiniteError, ParamStore
+from pdpinn.network import VALUES, MlpConfig, SlotPass, init_mlp, mlp_forward
+from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
+                             ground_truth_jet, operator_terms, rhs)
+from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
 from pdpinn.training import (AdamState, TrainSettings, adam_step,
                              empirical_bc_loss, empirical_pde_loss,
-                             predict_error, predict_values, train)
+                             net_input_jet, predict_error, predict_values,
+                             predictor_jets, predictor_slots, train)
 
 from conftest import agree, fd_loss_gradient
 
@@ -158,8 +161,6 @@ class TestPredictError:
         assert predict_error(store, p, p.dictionary) == explicit
 
     def test_nonfinite_loss_blames_a_point(self, rng):
-        from pdpinn.diffgraph import NonFiniteError
-
         p = problems.get("poisson1d")
         store = small_store(p, p.dictionary, False)
         store.set_flat(np.full(store.n_params, 1e308))
@@ -167,6 +168,116 @@ class TestPredictError:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteError, match="batch point"):
             empirical_pde_loss(store, p, p.dictionary, batch)
+
+    def test_nonfinite_report_names_an_overflowing_row(self):
+        # out = A tanh(c x): d1 and d2 overflow only near x = 0
+        p = problems.get("poisson1d")
+        store = ParamStore([(np.array([[10.0]]), np.zeros(1)),
+                            (np.array([[1e308]]), np.zeros(1))])
+        pts = np.array([[5.0], [-3.0], [0.05], [7.0], [-0.1], [9.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mlp_forward(store.layers, Jet2.seed(pts))
+            bad = ~(np.isfinite(out.value) & np.isfinite(out.d1)
+                    & np.isfinite(out.d2))[:, 0]
+            assert 0 < bad.sum() < len(pts)
+            with pytest.raises(NonFiniteError) as err:
+                empirical_pde_loss(store, p, DictionarySpec("none"),
+                                   SampleBatch(pts, "interior"))
+        first = pts[np.argmax(bad)]
+        assert str(err.value) == ("non-finite d1[x] in the output of layer 2 "
+                                  f"of 2; batch point {np.array2string(first)}")
+
+
+PUBLISHED = [(pid, model) for pid in ALL_IDS for model in ("dictionary", "plain")]
+
+
+def published_model(pid, model, seed=0):
+    """A preset's dictionary model (3x50) or the plain 4x50 baseline."""
+    p = problems.get(pid)
+    if model == "dictionary":
+        dspec, lift, depth = p.dictionary, p.lift, 3
+    else:
+        dspec, lift, depth = DictionarySpec("none"), False, 4
+    store = init_mlp(MlpConfig(3 if lift else p.dim, (50,) * depth,
+                               dspec.word_count, seed=seed))
+    return p, dspec, lift, store
+
+
+def tape_loss(store, p, dspec, batch, lift):
+    """Loss and gradient through the generic reverse tape, as a reference."""
+    pts = batch.points
+    leaves = dg.wrap_params(store)
+    h = dg.trace_input(net_input_jet(p, pts, lift))
+    for i, (W, b) in enumerate(leaves):
+        h = dg.affine(h, W, b)
+        if i < len(leaves) - 1:
+            h = dg.tanh(h)
+    if dspec.kind != "none":
+        h = dg.mul(eval_dictionary(dspec, pts), h)
+    F = dg.sum_words(h)
+    if batch.region == "boundary":
+        r = F.value_arr() - boundary_value(p, pts)
+    else:
+        terms = []
+        for order, coord, coeff in operator_terms(p, pts):
+            term = F.d1_arr(coord) if order == 1 else F.d2_arr(coord)
+            terms.append(term if coeff is None else term * coeff)
+        r = sum(terms[1:], terms[0]) - rhs(p, pts)
+    loss = (r * r).mean()
+    return float(loss.arr), dg.loss_parameter_gradient(loss, leaves)
+
+
+class TestSlotPass:
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_gradient_matches_directional_fd_and_tape(self, pid, model):
+        p, dspec, lift, store = published_model(pid, model)
+        rng = np.random.default_rng(23)
+        interior = sample_interior(p, p.n_pde, rng)
+        boundary = sample_boundary(p, p.n_bc, rng)
+
+        def total(st):
+            lp, gp = empirical_pde_loss(st, p, dspec, interior, lift)
+            lb, gb = empirical_bc_loss(st, p, dspec, boundary, lift)
+            return lp + lb, gp + gb
+
+        _, grad = total(store)
+        v = rng.standard_normal(store.n_params)
+        v /= np.linalg.norm(v)
+        h, theta, shifted = 1e-5, store.flat(), store.copy()
+        shifted.set_flat(theta + h * v)
+        up, _ = total(shifted)
+        shifted.set_flat(theta - h * v)
+        down, _ = total(shifted)
+        fd, exact = (up - down) / (2.0 * h), grad @ v
+        assert abs(fd - exact) <= 1e-5 * max(abs(fd), abs(exact))
+
+        for fn, batch in ((empirical_pde_loss, interior),
+                          (empirical_bc_loss, boundary)):
+            loss, g = fn(store, p, dspec, batch, lift)
+            want_loss, want_g = tape_loss(store, p, dspec, batch, lift)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert np.max(np.abs(g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_value_pass_is_bitwise_the_jet_pass(self, pid, model):
+        p, dspec, lift, store = published_model(pid, model)
+        pts = sample_interior(p, 1000, np.random.default_rng(4)).points
+        x, words = predictor_slots(p, dspec, pts, lift, VALUES)
+        net = SlotPass(store.layers, VALUES, x, words).net[0]
+        assert np.array_equal(
+            net, mlp_forward(store.layers, net_input_jet(p, pts, lift)).value)
+        assert np.array_equal(predict_values(store, p, dspec, pts, lift),
+                              predictor_jets(store.layers, p, dspec, pts, lift).value)
+
+    def test_recorded_error_is_bitwise_the_jet_pass_error(self):
+        p = problems.get("sphere")
+        s = TrainSettings(iterations=4, hidden_width=8, record_every=4)
+        records, store = train(p, p.dictionary, s)
+        pts = sample_interior(p, s.n_pred,
+                              np.random.default_rng(s.eval_seed)).points
+        F = predictor_jets(store.layers, p, p.dictionary, pts, p.lift)
+        assert records[-1].error_predict == float(
+            np.mean((F.value - ground_truth(p, pts)) ** 2))
 
 
 class TestTrainLoop:
