@@ -17,9 +17,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dictionaries import DictionarySpec
+from .network import VALUES, SlotLayout
 from .problems import ProblemSpec, apply_operator, boundary_value, ground_truth, rhs
 from .sampling import sample_boundary, sample_interior
-from .training import predictor_jets
+from .training import predictor_fields
 
 SLAB_WIDTH = 20.0        # both Poisson domains fit between planes 20 apart
 
@@ -128,13 +129,27 @@ def _unit_ball_points(dim, n, rng):
     return dirs * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
 
 
-def _inside(domain, pts):
-    if isinstance(domain, Interval):
-        return (pts[:, 0] >= domain.a) & (pts[:, 0] <= domain.b)
+def _exit_radii(domain, center, raw):
+    """Radius at which each ray ``center + r * raw[i]`` leaves the domain.
+
+    The center lies in the closed box or disk, so the point is inside for
+    0 <= r <= the exit radius and outside beyond it.
+    """
     if isinstance(domain, Box):
-        lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
-    return (pts[:, 0] - domain.cx) ** 2 + (pts[:, 1] - domain.cy) ** 2 <= domain.r ** 2
+        # per coordinate, the face the ray heads for; the nearest one wins
+        face = np.where(raw > 0, np.subtract(domain.hi, center),
+                        np.subtract(domain.lo, center))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(raw == 0.0, np.inf, face / raw).min(axis=1)
+    # disk: larger root of a r^2 + 2 b r + c = 0, i.e. |d + r u|^2 = R^2
+    d = np.subtract(center, (domain.cx, domain.cy))
+    a = np.einsum("ij,ij->i", raw, raw)
+    b = raw @ d
+    c = d @ d - domain.r ** 2
+    root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the form without cancellation on each side of b = 0
+        return np.where(b > 0.0, -c / (b + root), (root - b) / a)
 
 
 def _center_grid(domain, grid: int):
@@ -167,7 +182,9 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
     the infimum is attained for boxes); radii sweep up to past the measure
     crossover.  Intervals use exact interval intersections; boxes also get
     the exact corner value; everything else is Monte Carlo with at least
-    ``mc_points`` draws per center, shared across radii.
+    ``mc_points`` draws per center, shared across radii: each draw's exit
+    radius is taken in closed form and sorted once, and one search counts
+    the draws inside the ball of every radius.
     """
     if not isinstance(domain, (Interval, Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
@@ -188,6 +205,8 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
         crossover * np.linspace(0.8, 1.2, 9),
     ]))
     centers = _center_grid(domain, grid)
+    volume = ball_volume(dim, radii)
+    cap = np.minimum(domain.measure, volume)
 
     best = 1.0
     for center in centers:
@@ -196,11 +215,10 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
                                for r in radii))
             continue
         raw = _unit_ball_points(dim, mc_points, rng)
-        for r in radii:
-            frac = np.mean(_inside(domain, center + raw * r))
-            ratio = frac * ball_volume(dim, r) / min(domain.measure,
-                                                     ball_volume(dim, r))
-            best = min(best, ratio)
+        exits = np.sort(_exit_radii(domain, center, raw))
+        # a draw is inside the ball of radius r unless it exits before r
+        frac = (mc_points - np.searchsorted(exits, radii, side="left")) / mc_points
+        best = min(best, float(np.min(frac * volume / cap)))
     if isinstance(domain, Box):
         # exact corner value for radii up to the shortest side
         best = min(best, 0.5 ** domain.dim)
@@ -214,7 +232,8 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
 def estimate_lipschitz(f, lo, hi, n: int = 10_000, seed: int = 0) -> float:
     """Largest gradient norm of a scalar field over a box, sampled.
 
-    ``f(points) -> (values, gradients)`` with points (m, d).  A refinement
+    ``f(points) -> gradients`` maps points (m, d) to the field's gradients
+    there, shape (m, d); the field's values are never needed.  A refinement
     grid around the arg-max sharpens the estimate; the result is a lower
     estimate of the true constant.
     """
@@ -222,19 +241,37 @@ def estimate_lipschitz(f, lo, hi, n: int = 10_000, seed: int = 0) -> float:
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     pts = rng.uniform(lo, hi, size=(n, lo.size))
-    _, grads = f(pts)
-    norms = np.linalg.norm(grads, axis=1)
+    norms = np.linalg.norm(f(pts), axis=1)
     best_idx = int(np.argmax(norms))
     best = float(norms[best_idx])
     local = _refine_cloud(pts[best_idx], lo, hi, rng)
-    _, grads = f(local)
-    return max(best, float(np.max(np.linalg.norm(grads, axis=1))))
+    return max(best, float(np.max(np.linalg.norm(f(local), axis=1))))
 
 
 def _refine_cloud(center, lo, hi, rng, n: int = _REFINE_POINTS):
     radius = (hi - lo) * _REFINE_FRACTION
     pts = center + rng.uniform(-1.0, 1.0, size=(n, lo.size)) * radius
     return np.clip(pts, lo, hi)
+
+
+def _predictor(store, p: ProblemSpec, dspec: DictionarySpec, lift: bool,
+               predictor_fn):
+    """``jets(points, layout) -> Jet2`` of the predictor.
+
+    The stored network runs the forward-only slot pass carrying the slots of
+    ``layout`` alone; ``predictor_fn(points) -> Jet2`` ignores the layout.
+    """
+    if predictor_fn is not None:
+        return lambda points, layout: predictor_fn(points)
+    return lambda points, layout: predictor_fields(store, p, dspec, points,
+                                                   lift, layout)
+
+
+def _residual(p: ProblemSpec, jets):
+    """PDE residual at points; the Laplacian reads every d2 slot."""
+    layout = SlotLayout(p.coord_names, d2=p.dim)
+    return lambda points: (apply_operator(p, jets(points, layout), points)
+                           - rhs(p, points))
 
 
 def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
@@ -252,14 +289,14 @@ def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
     rng = np.random.default_rng(seed)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
-    jets = predictor_fn or (
-        lambda pts: predictor_jets(store.layers, p, dspec, pts, lift))
+    jets = _predictor(store, p, dspec, lift, predictor_fn)
+    residual = _residual(p, jets)
 
     def residual_abs(points):
-        return np.abs(apply_operator(p, jets(points), points) - rhs(p, points))
+        return np.abs(residual(points))
 
     def mismatch_abs(points):
-        return np.abs(jets(points).value - boundary_value(p, points))
+        return np.abs(jets(points, VALUES).value - boundary_value(p, points))
 
     ipts = sample_interior(p, n_interior, rng).points
     res = residual_abs(ipts)
@@ -373,26 +410,28 @@ def _square_perimeter_regularity(half: float = 10.0, grid: int = 48,
 
     Same ratio as ``estimate_regularity`` but intersecting balls with the
     1-D perimeter while keeping the printed ambient-dimension ball volume.
+    Each center's sample distances are sorted once and counted at every
+    radius with one search.
     """
     rng = np.random.default_rng(seed)
     total = 8.0 * half
     # arc-length-uniform perimeter samples
     n = 200_000
     u = rng.uniform(0.0, total, size=n)
-    pts = _perimeter_points(u, half)
+    px, py = np.ascontiguousarray(_perimeter_points(u, half).T)
     centers = _perimeter_points(np.linspace(0.0, total, grid, endpoint=False), half)
     crossover = math.sqrt(total / math.pi)
     radii = np.unique(np.concatenate([
         np.geomspace(0.05, 2.0 * half, 20),
         crossover * np.linspace(0.8, 1.2, 9),
     ]))
+    cap = np.minimum(total, math.pi * radii ** 2)
     best = 1.0
     for c in centers:
-        d = np.linalg.norm(pts - c, axis=1)
-        for r in radii:
-            arc = np.mean(d <= r) * total
-            ratio = arc / min(total, math.pi * r ** 2)
-            best = min(best, ratio)
+        # the Euclidean distance of every sample from c
+        d = np.sort(np.sqrt((px - c[0]) ** 2 + (py - c[1]) ** 2))
+        arc = np.searchsorted(d, radii, side="right") / n * total
+        best = min(best, float(np.min(arc / cap)))
     return float(best)
 
 
@@ -421,33 +460,31 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     """
     if p.id not in ("poisson1d", "poisson2d"):
         raise ValueError("bounds are computed for the Poisson problems only")
-    jets = predictor_fn or (
-        lambda pts: predictor_jets(store.layers, p, dspec, pts, lift))
+    jets = _predictor(store, p, dspec, lift, predictor_fn)
+    residual = _residual(p, jets)
     d1_sup, d2_sup, d1_exp, d2_exp = estimate_sup_deltas(
         store, p, dspec, lift, n_interior, n_boundary, seed, predictor_fn)
 
     rng = np.random.default_rng(seed + 1)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
+    gradient_layout = SlotLayout(p.coord_names)
 
-    def mismatch_field(points):
-        F = jets(points)
-        return F.value - ground_truth(p, points), F.d1
+    def predictor_gradients(points):
+        return jets(points, gradient_layout).d1
 
-    def residual_field(points):
-        # gradient of the residual by central differences per coordinate
-        def res(pts):
-            return apply_operator(p, jets(pts), pts) - rhs(p, pts)
+    def residual_gradients(points):
+        # central differences per coordinate
         h = 1e-4
         grads = np.empty_like(points)
         for k in range(points.shape[1]):
             e = np.zeros(points.shape[1])
             e[k] = h
-            grads[:, k] = (res(points + e) - res(points - e)) / (2.0 * h)
-        return res(points), grads
+            grads[:, k] = (residual(points + e) - residual(points - e)) / (2.0 * h)
+        return grads
 
-    lip = max(estimate_lipschitz(mismatch_field, lo, hi, seed=seed + 2),
-              estimate_lipschitz(residual_field, lo, hi, seed=seed + 3))
+    lip = max(estimate_lipschitz(predictor_gradients, lo, hi, seed=seed + 2),
+              estimate_lipschitz(residual_gradients, lo, hi, seed=seed + 3))
 
     if p.id == "poisson1d":
         domain = Interval(-10.0, 10.0)
@@ -467,10 +504,10 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     bound_exp = poisson_bound(td1, td2, SLAB_WIDTH)
 
     ipts = sample_interior(p, n_interior, rng).points
-    errs = np.abs(jets(ipts).value - ground_truth(p, ipts))
+    errs = np.abs(jets(ipts, VALUES).value - ground_truth(p, ipts))
     k = int(np.argmax(errs))
     local = _refine_cloud(ipts[k], lo, hi, rng)
-    local_errs = np.abs(jets(local).value - ground_truth(p, local))
+    local_errs = np.abs(jets(local, VALUES).value - ground_truth(p, local))
     observed = max(float(errs[k]), float(np.max(local_errs)))
 
     report = BoundReport(

@@ -35,7 +35,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--hidden-width", type=int)
     run_p.add_argument("--iterations", type=int)
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--deterministic", action="store_true", default=None)
     run_p.add_argument("--out", help="output directory")
 
     grid_p = sub.add_parser("dump-grid", help="prediction grid for plotting")
@@ -99,8 +98,6 @@ def _cmd_run(args) -> int:
         cfg.iterations = args.iterations
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.deterministic is not None:
-        cfg.deterministic = args.deterministic
     out_dir = args.out or cfg.out_dir or config.default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -149,16 +146,22 @@ def _grid_points(p, resolution):
     return np.column_stack([A.ravel(), B.ravel()])
 
 
-def _cmd_dump_grid(args) -> int:
-    p = problems.get(args.problem)
-    dspec = DictionarySpec.parse(args.dictionary)
-    lift = p.lift and dspec.kind != "none" and not args.no_lift
-    store = load_checkpoint(args.checkpoint)
-    expect_in = 3 if lift else p.dim
+def _load_matching_checkpoint(path, p, dspec: DictionarySpec, lift: bool):
+    """Load a checkpoint whose network shape fits the problem and dictionary."""
+    store = load_checkpoint(path)
+    expect_in = training.network_input_dim(p, lift)
     if store.input_dim != expect_in or store.output_dim != dspec.word_count:
         raise ValueError(
             f"checkpoint shape ({store.input_dim} -> {store.output_dim}) does "
             f"not match problem/dictionary ({expect_in} -> {dspec.word_count})")
+    return store
+
+
+def _cmd_dump_grid(args) -> int:
+    p = problems.get(args.problem)
+    dspec = DictionarySpec.parse(args.dictionary)
+    lift = p.lift and dspec.kind != "none" and not args.no_lift
+    store = _load_matching_checkpoint(args.checkpoint, p, dspec, lift)
     pts = _grid_points(p, args.resolution)
     pred = predict_values(store, p, dspec, pts, lift)
     truth = ground_truth(p, pts)
@@ -175,7 +178,7 @@ def _cmd_dump_grid(args) -> int:
 def _cmd_bounds(args) -> int:
     p = problems.get(args.problem)
     dspec = DictionarySpec.parse(args.dictionary)
-    store = load_checkpoint(args.checkpoint)
+    store = _load_matching_checkpoint(args.checkpoint, p, dspec, lift=False)
     report = bounds.verify_bound(store, p, dspec, lift=False, seed=args.seed)
     print(report.table())
     if args.out:

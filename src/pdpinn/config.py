@@ -32,7 +32,6 @@ class ExperimentConfig:
     seed: int = 0
     learning_rate: float = 0.001
     record_every: int = 10
-    deterministic: bool = True
     fresh_batches: bool = True
     out_dir: str = ""
 
@@ -42,7 +41,7 @@ class ExperimentConfig:
             iterations=self.iterations, n_pde=self.n_pde, n_bc=self.n_bc,
             n_pred=self.n_pred, seed=self.seed,
             learning_rate=self.learning_rate, record_every=self.record_every,
-            deterministic=self.deterministic, fresh_batches=self.fresh_batches)
+            fresh_batches=self.fresh_batches)
 
     def describe(self) -> dict:
         return {
@@ -58,7 +57,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "learning_rate": self.learning_rate,
             "record_every": self.record_every,
-            "deterministic": self.deterministic,
             "fresh_batches": self.fresh_batches,
         }
 
@@ -76,7 +74,9 @@ def default_out_dir() -> str:
     return os.environ.get(ENV_OUT_DIR, "runs")
 
 
-_BOOL_FIELDS = {"lift", "deterministic", "fresh_batches"}
+_BOOL_FIELDS = {"lift", "fresh_batches"}
+# fields older files may set that no longer do anything; they are skipped
+_RETIRED_FIELDS = {"deterministic"}
 _INT_FIELDS = {"hidden_layers", "hidden_width", "iterations", "n_pde",
                "n_bc", "n_pred", "seed", "record_every"}
 _FLOAT_FIELDS = {"learning_rate"}
@@ -107,7 +107,7 @@ def load_config(path) -> ExperimentConfig:
         if section not in parser:
             continue
         for key, raw in parser[section].items():
-            if key in ("problem", "dictionary", "out_dir"):
+            if key in ("problem", "dictionary", "out_dir") or key in _RETIRED_FIELDS:
                 continue
             if not hasattr(cfg, key):
                 raise ValueError(f"{path}: unknown field {section}.{key}")
@@ -147,7 +147,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         "seed": str(cfg.seed),
         "learning_rate": str(cfg.learning_rate),
         "record_every": str(cfg.record_every),
-        "deterministic": str(cfg.deterministic).lower(),
         "fresh_batches": str(cfg.fresh_batches).lower(),
     }
     with open(path, "w") as fh:

@@ -221,14 +221,17 @@ def fuse(dict_jets: Jet2, net_jets: Jet2) -> Jet2:
     return dg.sum_words(dg.mul(dict_jets, net_jets))
 
 
-def eval_dictionary(spec: DictionarySpec, points: np.ndarray) -> Jet2:
+def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
+                    derivatives: bool = True) -> Jet2:
     """Evaluate the word family at raw problem coordinates.
 
     Jets are taken with respect to the raw coordinates; normalization of
     the 2-D Fourier family (xhat = (x+10)/20) happens here so its chain
-    factors are part of the word jets.
+    factors are part of the word jets.  With ``derivatives=False`` the same
+    family code runs on jets whose derivative axis is empty, so only the
+    values are computed.
     """
-    x = Jet2.seed(points)
+    x = Jet2.seed(points) if derivatives else Jet2.const(points, 0)
     if spec.kind == "none":
         return stack_jets([Jet2.const(np.ones(points.shape[:-1]), x.dim)])
     if spec.kind == "fourier1d":

@@ -1,9 +1,9 @@
 """Trainable tanh MLP: initialization, jet forward passes, checkpoints.
 
 Two forward passes live here.  ``mlp_forward`` propagates plain ``Jet2``
-values (bounds, dictionaries and tests use it).  ``SlotPass`` is the
-training pass: jets stored slot-major, one GEMM per affine map, and a
-hand-written adjoint for the parameter gradient.
+values (dictionaries and tests use it).  ``SlotPass`` is the pass of
+training, prediction and bound checks: jets stored slot-major, one GEMM
+per affine map, and a hand-written adjoint for the parameter gradient.
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ class SlotLayout:
                                np.moveaxis(jet.d1[..., :len(self.coords)], -1, 0),
                                np.moveaxis(jet.d2[..., :self.d2], -1, 0)])
 
+    def unpack(self, F: np.ndarray) -> Jet2:
+        """Jet view of predictor slots F (shape (slots, n)); d1 and d2 hold
+        only the coordinates this layout carries."""
+        dim = len(self.coords)
+        return Jet2(F[0], F[1:1 + dim].T, F[1 + dim:].T)
+
 
 VALUES = SlotLayout()
 
@@ -124,17 +130,22 @@ class SlotPass:
     plain network whose single output is the predictor.  Each affine map is
     one GEMM on the contiguous (S*n, width) view.  The predictor slots end
     up in ``F`` (shape (S, n)); ``gradient`` is the hand-written adjoint.
+    With ``retain=False`` the pass keeps no per-layer state and skips the
+    tanh derivatives only the adjoint reads, so ``gradient`` is unavailable.
     Every layer output is checked for NaN/Inf.
     """
 
-    def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None):
+    def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
+                 retain: bool = True):
         _check_fan_in(layers, x.shape[-1])
         self.layers, self.layout, self.words = layers, layout, words
+        self.retain = retain
         self.inputs = []                 # the input slots of every layer
         self.hidden = []                 # (pre-activation, f1, f2, f3) per tanh
         h = x
         for i, (W, b) in enumerate(layers):
-            self.inputs.append(h)
+            if retain:
+                self.inputs.append(h)
             S, n, w = h.shape
             h = (h.reshape(S * n, w) @ W.T).reshape(S, n, -1)
             h[0] += b
@@ -160,12 +171,20 @@ class SlotPass:
 
     def _tanh(self, z: np.ndarray) -> np.ndarray:
         dim, m = len(self.layout.coords), self.layout.d2
-        t, f1, f2, f3 = tanh_derivs(z[0])
+        if self.retain:
+            t, f1, f2, f3 = tanh_derivs(z[0])
+            self.hidden.append((z, f1, f2, f3))
+        else:
+            # the same expressions as tanh_derivs, as far as the slots need
+            t = np.tanh(z[0])
+            f1 = 1.0 - t * t if dim else None
+            f2 = -2.0 * t * f1 if m else None
         h = np.empty_like(z)
         h[0] = t
-        np.multiply(z[1:], f1, out=h[1:])
-        h[1 + dim:] += f2 * (z[1:1 + m] * z[1:1 + m])
-        self.hidden.append((z, f1, f2, f3))
+        if dim:
+            np.multiply(z[1:], f1, out=h[1:])
+        if m:
+            h[1 + dim:] += f2 * (z[1:1 + m] * z[1:1 + m])
         return h
 
     def _tanh_adjoint(self, gh, z, f1, f2, f3) -> np.ndarray:

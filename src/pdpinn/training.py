@@ -16,6 +16,11 @@ from .sampling import SampleBatch, sample_boundary, sample_interior
 
 DIVERGENCE_LIMIT = 1e12
 
+# Points per forward-only pass, which bounds its memory on large batches.
+# A power of two keeps every point on the GEMM row blocks of one
+# whole-batch pass, so chunking leaves the results bitwise unchanged.
+FORWARD_CHUNK = 4096
+
 
 class DivergenceError(RuntimeError):
     """Training loss exploded; carries the iteration and loss values."""
@@ -59,7 +64,6 @@ class TrainSettings:
     eval_seed: int = 777                 # fixed, separate from training noise
     learning_rate: float = 0.001
     record_every: int = 10
-    deterministic: bool = True
     fresh_batches: bool = True           # False: fixed collocation ablation
 
 
@@ -102,29 +106,48 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
                     lift: bool, layout: SlotLayout):
     """Network input and dictionary words at points, packed by ``layout``.
 
-    The words are None without a dictionary.
+    The words are None without a dictionary; a layout without derivative
+    slots gets value-only words.
     """
     x = layout.pack(net_input_jet(p, points, lift))
     if dspec.kind == "none":
         return x, None
-    return x, layout.pack(eval_dictionary(dspec, points))
+    return x, layout.pack(eval_dictionary(dspec, points,
+                                          derivatives=bool(layout.coords)))
 
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
-               points: np.ndarray) -> SlotPass:
-    """``SlotPass`` on ``predictor_slots`` output; a NaN/Inf report names
-    the sample point."""
+               points: np.ndarray, start: int = 0,
+               retain: bool = True) -> SlotPass:
+    """``SlotPass`` on ``predictor_slots`` output for ``points[start:]``; a
+    NaN/Inf report names the sample point and its row in ``points``."""
     try:
-        return SlotPass(store.layers, layout, *slots)
+        return SlotPass(store.layers, layout, *slots, retain=retain)
     except NonFiniteError as e:
+        row = start + e.row
         raise NonFiniteError(
-            f"{e}; batch point {np.array2string(points[e.row])}") from None
+            f"{e}; batch point {np.array2string(points[row])}", row=row) from None
+
+
+def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
+                     points: np.ndarray, lift: bool, layout: SlotLayout) -> Jet2:
+    """Predictor jets at points through the forward-only slot pass.
+
+    Runs ``FORWARD_CHUNK`` points at a time; d1 and d2 carry only the
+    coordinates ``layout`` carries.
+    """
+    parts = []
+    for start in range(0, len(points), FORWARD_CHUNK):
+        pts = points[start:start + FORWARD_CHUNK]
+        parts.append(_slot_pass(store, layout,
+                                predictor_slots(p, dspec, pts, lift, layout),
+                                points, start, retain=False).F)
+    return layout.unpack(np.concatenate(parts, axis=1))
 
 
 def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                    points: np.ndarray, lift: bool) -> np.ndarray:
-    slots = predictor_slots(p, dspec, points, lift, VALUES)
-    return _slot_pass(store, VALUES, slots, points).F[0]
+    return predictor_fields(store, p, dspec, points, lift, VALUES).value
 
 
 # --------------------------------------------------------------------------
@@ -148,10 +171,9 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                                    default=-1))
     fwd = _slot_pass(store, layout, predictor_slots(p, dspec, pts, lift, layout),
                      pts)
-    F, dim = fwd.F, p.dim
-    r = apply_operator(p, Jet2(F[0], F[1:1 + dim].T, F[1 + dim:].T), pts) - rhs(p, pts)
+    r = apply_operator(p, layout.unpack(fwd.F), pts) - rhs(p, pts)
     g = (2.0 / r.size) * r
-    gF = np.zeros_like(F)
+    gF = np.zeros_like(fwd.F)
     for order, coord, coeff in terms:
         gF[layout.slot(order, coord)] += g if coeff is None else g * coeff
     return float(np.mean(r * r)), fwd.gradient(gF)
@@ -215,8 +237,7 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     the prediction error is sampled at the end of each recorded iteration
     with its own fixed-seed generator.  Raises DivergenceError when the
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
-    fixed order here, so every run is bit-reproducible for a given seed and
-    the ``deterministic`` setting is satisfied trivially.
+    fixed order here, so every run is bit-reproducible for a given seed.
     """
     if lift is None:
         lift = p.lift and dspec.kind != "none"
@@ -242,7 +263,7 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     eval_truth = ground_truth(p, eval_pts)
 
     def current_error() -> float:
-        F = _slot_pass(store, VALUES, eval_slots, eval_pts).F[0]
+        F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False).F[0]
         return float(np.mean((F - eval_truth) ** 2))
 
     if not settings.fresh_batches:

@@ -12,6 +12,17 @@ from pdpinn.bounds import (Box, Disk, Interval, UnsupportedDomainError,
                            tilde_delta, verify_bound)
 from pdpinn.diffgraph import Jet2
 from pdpinn.problems import ground_truth_jet
+from pdpinn.training import FORWARD_CHUNK, TrainSettings, predictor_jets, train
+
+
+def brute_inside(domain, pts):
+    """Membership of explicit points, the reference for the exit radii."""
+    if isinstance(domain, Interval):
+        return (pts[:, 0] >= domain.a) & (pts[:, 0] <= domain.b)
+    if isinstance(domain, Box):
+        lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
+        return np.all((pts >= lo) & (pts <= hi), axis=1)
+    return (pts[:, 0] - domain.cx) ** 2 + (pts[:, 1] - domain.cy) ** 2 <= domain.r ** 2
 
 
 class TestPoissonBound:
@@ -94,6 +105,40 @@ class TestRegularity:
         with pytest.raises(UnsupportedDomainError):
             estimate_regularity("pentagon")
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("domain,grid,diameter", [
+        (Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), 4, math.sqrt(3.0)),
+        (Box((-10.0, -10.0), (10.0, 10.0)), 7, math.sqrt(800.0)),
+        (Disk(0.0, 0.0, 1.0), 5, 2.0),
+    ])
+    def test_exit_radius_counts_match_explicit_points(self, domain, grid,
+                                                      diameter, seed):
+        rng = np.random.default_rng(seed)
+        radii = diameter * np.geomspace(1e-3, 1.05, 40)
+        for center in bounds._center_grid(domain, grid):
+            raw = bounds._unit_ball_points(domain.dim, 2000, rng)
+            exits = np.sort(bounds._exit_radii(domain, center, raw))
+            got = len(raw) - np.searchsorted(exits, radii, side="left")
+            want = [np.count_nonzero(brute_inside(domain, center + raw * r))
+                    for r in radii]
+            assert got.tolist() == want
+
+    def test_perimeter_estimate_is_the_per_radius_loop(self):
+        half, grid, total, n = 10.0, 48, 80.0, 200_000
+        rng = np.random.default_rng(0)
+        pts = bounds._perimeter_points(rng.uniform(0.0, total, size=n), half)
+        centers = bounds._perimeter_points(
+            np.linspace(0.0, total, grid, endpoint=False), half)
+        crossover = math.sqrt(total / math.pi)
+        radii = np.unique(np.concatenate([np.geomspace(0.05, 2.0 * half, 20),
+                                          crossover * np.linspace(0.8, 1.2, 9)]))
+        want = 1.0
+        for c in centers:
+            d = np.linalg.norm(pts - c, axis=1)
+            for r in radii:
+                want = min(want, np.mean(d <= r) * total / min(total, math.pi * r ** 2))
+        assert bounds._square_perimeter_regularity() == float(want)
+
     def test_parse_domain_round_trips(self):
         assert parse_domain("interval:0,1") == Interval(0.0, 1.0)
         assert parse_domain("box:0,1,0,2") == Box((0.0, 0.0), (1.0, 2.0))
@@ -114,18 +159,18 @@ class TestRegularity:
 class TestLipschitz:
     def test_sine_slope_one(self):
         def f(pts):
-            return np.sin(pts[:, 0]), np.cos(pts)[:, :1]
+            return np.cos(pts)[:, :1]
         got = estimate_lipschitz(f, [0.0], [2.0 * np.pi], n=20_000)
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_constant_is_flat(self):
         def f(pts):
-            return np.ones(len(pts)), np.zeros_like(pts)
+            return np.zeros_like(pts)
         assert estimate_lipschitz(f, [0.0], [1.0], n=1000) == 0.0
 
     def test_linear_is_exact(self):
         def f(pts):
-            return 3.0 * pts[:, 0], np.full_like(pts, 3.0)
+            return np.full_like(pts, 3.0)
         assert estimate_lipschitz(f, [0.0], [1.0], n=1000) == 3.0
 
 
@@ -177,6 +222,21 @@ class TestVerifyBound:
         assert report.observed_sup_error == pytest.approx(c, rel=1e-10)
         assert report.bound_sup == pytest.approx(c, rel=2e-3)
         assert report.sup_bound_holds
+
+    @pytest.mark.parametrize("pid,iterations", [("poisson1d", 30),
+                                                 ("poisson2d", 3)])
+    def test_stored_network_report_is_the_jet_pass_report(self, pid, iterations):
+        p = problems.get(pid)
+        _, store = train(p, p.dictionary, TrainSettings(
+            iterations=iterations, record_every=iterations, seed=4))
+        n = FORWARD_CHUNK + 1000        # the interior batch spans two chunks
+        fast = verify_bound(store, p, p.dictionary, n_interior=n,
+                            n_boundary=400, seed=3)
+        jet = verify_bound(store, p, p.dictionary, n_interior=n,
+                           n_boundary=400, seed=3,
+                           predictor_fn=lambda q: predictor_jets(
+                               store.layers, p, p.dictionary, q, False))
+        assert fast == jet
 
     def test_unsupported_problem_rejected(self):
         p = problems.get("sphere")

@@ -73,6 +73,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown problem"):
             config.load_config(path)
 
+    def test_retired_deterministic_field_still_loads(self, tmp_path):
+        path = tmp_path / "old.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        "[training]\ndeterministic = true\nseed = 3\n")
+        cfg = config.load_config(path)
+        assert cfg.seed == 3
+        assert not hasattr(cfg, "deterministic")
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             config.load_config(tmp_path / "nope.ini")
@@ -192,6 +200,13 @@ class TestBoundsCommand:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["sup_bound_holds"] and report["exp_bound_holds"]
+
+    def test_shape_mismatch_exits_2_naming_both_shapes(self, tiny_run, capsys):
+        rc = cli.main(["bounds", "--checkpoint", str(tiny_run / "model.ckpt"),
+                       "--problem", "poisson1d", "--dictionary", "fourier1d:4"])
+        assert rc == 2
+        assert "checkpoint shape (1 -> 17) does not match problem/dictionary " \
+               "(1 -> 9)" in capsys.readouterr().err
 
     def test_sphere_rejected(self, tiny_run):
         with pytest.raises(SystemExit):

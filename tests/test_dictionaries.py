@@ -17,6 +17,18 @@ def seed2(pts):
     return Jet2.seed(np.asarray(pts, dtype=np.float64))
 
 
+class TestValueOnlyWords:
+    @pytest.mark.parametrize("pid", sorted(problems.PROBLEMS))
+    def test_values_are_bitwise_the_full_jet_values(self, pid, rng):
+        p = problems.get(pid)
+        pts = np.column_stack([rng.uniform(lo, hi, 300)
+                               for lo, hi in zip(p.lo, p.hi)])
+        words = eval_dictionary(p.dictionary, pts, derivatives=False)
+        assert words.d1.shape[-1] == words.d2.shape[-1] == 0
+        assert np.array_equal(words.value,
+                              eval_dictionary(p.dictionary, pts).value)
+
+
 class TestSpec:
     def test_word_counts(self):
         assert DictionarySpec("none").word_count == 1
