@@ -18,7 +18,8 @@ import numpy as np
 
 from .dictionaries import DictionarySpec
 from .network import VALUES, SlotLayout
-from .problems import ProblemSpec, apply_operator, boundary_value, ground_truth, rhs
+from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth,
+                       ground_truth_jet, rhs)
 from .sampling import sample_boundary, sample_interior
 from .training import predictor_fields
 
@@ -274,6 +275,18 @@ def _residual(p: ProblemSpec, jets):
                            - rhs(p, points))
 
 
+def _central_gradients(f, h: float = 1e-4):
+    """``points -> gradients`` of a scalar field by central differences."""
+    def gradients(points):
+        grads = np.empty_like(points)
+        for k in range(points.shape[1]):
+            e = np.zeros(points.shape[1])
+            e[k] = h
+            grads[:, k] = (f(points + e) - f(points - e)) / (2.0 * h)
+        return grads
+    return gradients
+
+
 def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
                         lift: bool = False, n_interior: int = 20_000,
                         n_boundary: int = 2_000, seed: int = 0,
@@ -470,21 +483,14 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     hi = np.asarray(p.hi)
     gradient_layout = SlotLayout(p.coord_names)
 
-    def predictor_gradients(points):
-        return jets(points, gradient_layout).d1
+    def mismatch_gradients(points):
+        # the boundary field is F - u, so its gradient is F' - u'
+        return (jets(points, gradient_layout).d1
+                - ground_truth_jet(p, points).d1)
 
-    def residual_gradients(points):
-        # central differences per coordinate
-        h = 1e-4
-        grads = np.empty_like(points)
-        for k in range(points.shape[1]):
-            e = np.zeros(points.shape[1])
-            e[k] = h
-            grads[:, k] = (residual(points + e) - residual(points - e)) / (2.0 * h)
-        return grads
-
-    lip = max(estimate_lipschitz(predictor_gradients, lo, hi, seed=seed + 2),
-              estimate_lipschitz(residual_gradients, lo, hi, seed=seed + 3))
+    lip = max(estimate_lipschitz(mismatch_gradients, lo, hi, seed=seed + 2),
+              estimate_lipschitz(_central_gradients(residual), lo, hi,
+                                 seed=seed + 3))
 
     if p.id == "poisson1d":
         domain = Interval(-10.0, 10.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgraph import Jet2, NonFiniteError, ParamStore, affine, tanh, tanh_derivs
+from .diffgraph import Jet2, NonFiniteError, ParamStore, affine, tanh
 
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
@@ -122,6 +122,32 @@ class SlotLayout:
 VALUES = SlotLayout()
 
 
+class SlotBuffers:
+    """Work arrays that successive slot passes reuse.
+
+    ``take(role, shape)`` returns the same uninitialised float64 array
+    every time it is asked for a role and shape, so a loop over fixed-size
+    batches maps its jet pages once instead of on every pass.  The arrays
+    of a pass (its ``net``, and ``F`` of a plain network) hold only until
+    the next pass on the same buffers; ``SlotPass.gradient`` always returns
+    a fresh array.
+    """
+
+    def __init__(self):
+        self.arrays = {}
+
+    def take(self, role, shape) -> np.ndarray:
+        key = (role, tuple(shape))
+        a = self.arrays.get(key)
+        if a is None:
+            a = self.arrays[key] = np.empty(shape)
+        return a
+
+
+def _fresh(role, shape) -> np.ndarray:
+    return np.empty(shape)
+
+
 class SlotPass:
     """Forward pass of the predictor <words, MLP(x)> on slot-major jets.
 
@@ -132,28 +158,41 @@ class SlotPass:
     up in ``F`` (shape (S, n)); ``gradient`` is the hand-written adjoint.
     With ``retain=False`` the pass keeps no per-layer state and skips the
     tanh derivatives only the adjoint reads, so ``gradient`` is unavailable.
-    Every layer output is checked for NaN/Inf.
+    Work arrays come from ``buffers`` (a ``SlotBuffers``), or are allocated
+    afresh when it is None.  Every layer output is checked for NaN/Inf.
     """
 
     def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
-                 retain: bool = True):
+                 retain: bool = True, buffers: SlotBuffers | None = None):
         _check_fan_in(layers, x.shape[-1])
         self.layers, self.layout, self.words = layers, layout, words
         self.retain = retain
+        self._take = _fresh if buffers is None else buffers.take
         self.inputs = []                 # the input slots of every layer
         self.hidden = []                 # (pre-activation, f1, f2, f3) per tanh
         h = x
         for i, (W, b) in enumerate(layers):
             if retain:
                 self.inputs.append(h)
-            S, n, w = h.shape
-            h = (h.reshape(S * n, w) @ W.T).reshape(S, n, -1)
-            h[0] += b
+            h = self._affine(h, W, b, i)
             if i < len(layers) - 1:
-                h = self._tanh(h)
+                h = self._tanh(h, i)
             self._check_finite(h, i)
         self.net = h
         self.F = h[..., 0] if words is None else self._fuse(words, h)
+
+    def _key(self, role: str, i: int):
+        # the adjoint reads every layer's arrays; a forward-only pass
+        # overwrites one set layer after layer
+        return (role, i) if self.retain else role
+
+    def _affine(self, h: np.ndarray, W: np.ndarray, b: np.ndarray,
+                i: int) -> np.ndarray:
+        S, n, w = h.shape
+        z = self._take(self._key("z", i), (S, n, W.shape[0]))
+        np.matmul(h.reshape(S * n, w), W.T, out=z.reshape(S * n, -1))
+        z[0] += b
+        return z
 
     def _check_finite(self, h: np.ndarray, i: int) -> None:
         # a single reduction: any NaN/Inf poisons the sum
@@ -169,41 +208,65 @@ class SlotPass:
             f"non-finite {self.layout.name(slot)} in the output of layer "
             f"{i + 1} of {len(self.layers)}", row=row)
 
-    def _tanh(self, z: np.ndarray) -> np.ndarray:
+    def _tanh(self, z: np.ndarray, i: int) -> np.ndarray:
+        # tanh_derivs' expressions, in its order, evaluated in place
         dim, m = len(self.layout.coords), self.layout.d2
+        _, n, w = z.shape
+
+        def take(role, shape=(n, w)):
+            return self._take(self._key(role, i), shape)
+
+        h = take("h", z.shape)
+        t = np.tanh(z[0], out=h[0])
+        f1 = f2 = f3 = None
+        if dim or self.retain:
+            f1 = np.multiply(t, t, out=take("f1"))
+            np.subtract(1.0, f1, out=f1)
+        if m or self.retain:
+            f2 = np.multiply(t, -2.0, out=take("f2"))
+            f2 *= f1
         if self.retain:
-            t, f1, f2, f3 = tanh_derivs(z[0])
+            f3 = np.multiply(t, 6.0, out=take("f3"))
+            f3 *= t
+            f3 -= 2.0
+            f3 *= f1
             self.hidden.append((z, f1, f2, f3))
-        else:
-            # the same expressions as tanh_derivs, as far as the slots need
-            t = np.tanh(z[0])
-            f1 = 1.0 - t * t if dim else None
-            f2 = -2.0 * t * f1 if m else None
-        h = np.empty_like(z)
-        h[0] = t
         if dim:
             np.multiply(z[1:], f1, out=h[1:])
         if m:
-            h[1 + dim:] += f2 * (z[1:1 + m] * z[1:1 + m])
+            z1 = z[1:1 + m]
+            sq = np.multiply(z1, z1, out=self._take("sq", z1.shape))
+            sq *= f2
+            h[1 + dim:] += sq
         return h
 
     def _tanh_adjoint(self, gh, z, f1, f2, f3) -> np.ndarray:
+        """dL/dz from gh = dL/dh, computed in place in gh."""
         dim, m = len(self.layout.coords), self.layout.d2
         z1 = z[1:1 + m]
-        q = gh[1 + dim:] * z1
-        gz = gh * f1
-        gz[0] += (f2 * np.einsum("snw,snw->nw", gh[1:], z[1:])
-                  + f3 * np.einsum("snw,snw->nw", q, z1))
-        q *= 2.0 * f2
-        gz[1:1 + m] += q
-        return gz
+        q = np.multiply(gh[1 + dim:], z1, out=self._take("q", z1.shape))
+        e1 = np.einsum("snw,snw->nw", gh[1:], z[1:],
+                       out=self._take("e1", f1.shape))
+        e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f1.shape))
+        gh *= f1
+        e1 *= f2
+        e2 *= f3
+        e1 += e2
+        gh[0] += e1
+        q *= np.multiply(f2, 2.0, out=e2)
+        gh[1:1 + m] += q
+        return gh
 
     def _fuse(self, C: np.ndarray, N: np.ndarray) -> np.ndarray:
-        # the product rule grouped as in the plain jet product
+        # the product rule grouped as in the plain jet product; T keeps the
+        # words' memory layout, which fixes the summation order of T.sum
         dim, m = len(self.layout.coords), self.layout.d2
-        T = C * N[0]
-        T[1:] += C[0] * N[1:]
-        T[1 + dim:] += 2.0 * (C[1:1 + m] * N[1:1 + m])
+        T = np.multiply(C, N[0], out=np.empty_like(C))
+        T[1:] += np.multiply(C[0], N[1:], out=self._take("cn", N[1:].shape))
+        c2 = np.multiply(C[1:1 + m], N[1:1 + m],
+                         out=self._take("cn2", N[1:1 + m].shape))
+        c2 *= 2.0
+        T[1 + dim:] += c2
         return T.sum(axis=-1)
 
     def _fuse_adjoint(self, gF: np.ndarray) -> np.ndarray:
@@ -211,26 +274,37 @@ class SlotPass:
         if C is None:
             return gF[..., None]
         dim, m = len(self.layout.coords), self.layout.d2
-        g = np.empty_like(self.net)
-        g[0] = np.einsum("sn,snw->nw", gF, C)
-        g[1:] = C[0] * gF[1:, :, None]
-        g[1:1 + m] += 2.0 * (C[1:1 + m] * gF[1 + dim:, :, None])
+        g = self._take("gnet", self.net.shape)
+        np.einsum("sn,snw->nw", gF, C, out=g[0])
+        np.multiply(C[0], gF[1:, :, None], out=g[1:])
+        c2 = np.multiply(C[1:1 + m], gF[1 + dim:, :, None],
+                         out=self._take("cn2", g[1:1 + m].shape))
+        c2 *= 2.0
+        g[1:1 + m] += c2
         return g
 
     def gradient(self, gF: np.ndarray) -> np.ndarray:
         """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF."""
         g = self._fuse_adjoint(gF)
-        parts = []
+        grad = np.empty(sum(W.size + b.size for W, b in self.layers))
+        end = grad.size
         for i in range(len(self.layers) - 1, -1, -1):
+            W, b = self.layers[i]
             x = self.inputs[i]
             S, n, w = x.shape
             g2 = g.reshape(S * n, -1)
-            parts.append(np.concatenate([(g2.T @ x.reshape(S * n, w)).ravel(),
-                                         g[0].sum(axis=0)]))
+            start = end - W.size - b.size
+            np.matmul(g2.T, x.reshape(S * n, w),
+                      out=grad[start:start + W.size].reshape(W.shape))
+            np.sum(g[0], axis=0, out=grad[start + W.size:end])
+            end = start
             if i:
-                gh = (g2 @ self.layers[i][0]).reshape(S, n, w)
+                # alternate two buffers so the GEMM never writes over its
+                # own input, which numpy would first copy
+                gh = self._take(("gh", i % 2), (S, n, w))
+                np.matmul(g2, W, out=gh.reshape(S * n, w))
                 g = self._tanh_adjoint(gh, *self.hidden[i - 1])
-        return np.concatenate(parts[::-1])
+        return grad
 
 
 def save_checkpoint(store: ParamStore, path) -> None:

@@ -9,7 +9,8 @@ import numpy as np
 
 from .diffgraph import Jet2, NonFiniteError, ParamStore
 from .dictionaries import DictionarySpec, eval_dictionary, fuse, lift_sphere
-from .network import VALUES, MlpConfig, SlotLayout, SlotPass, init_mlp, mlp_forward
+from .network import (VALUES, MlpConfig, SlotBuffers, SlotLayout, SlotPass,
+                      init_mlp, mlp_forward)
 from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth,
                        operator_terms, rhs)
 from .sampling import SampleBatch, sample_boundary, sample_interior
@@ -118,11 +119,13 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
                points: np.ndarray, start: int = 0,
-               retain: bool = True) -> SlotPass:
+               retain: bool = True,
+               buffers: SlotBuffers | None = None) -> SlotPass:
     """``SlotPass`` on ``predictor_slots`` output for ``points[start:]``; a
     NaN/Inf report names the sample point and its row in ``points``."""
     try:
-        return SlotPass(store.layers, layout, *slots, retain=retain)
+        return SlotPass(store.layers, layout, *slots, retain=retain,
+                        buffers=buffers)
     except NonFiniteError as e:
         row = start + e.row
         raise NonFiniteError(
@@ -155,12 +158,14 @@ def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 # --------------------------------------------------------------------------
 
 def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
-                       batch: SampleBatch, lift: bool = False):
+                       batch: SampleBatch, lift: bool = False,
+                       buffers: SlotBuffers | None = None):
     """Mean squared PDE residual over an interior batch, with gradient.
 
     The operator is linear in the predictor slots, so dL/dF is 2 r c / n on
     each slot it reads with coefficient c.  Only the d2 slots up to the
-    last coordinate the operator differentiates twice are carried.
+    last coordinate the operator differentiates twice are carried.  The
+    pass takes its work arrays from ``buffers``, or fresh ones when None.
     """
     if batch.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
@@ -170,7 +175,7 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                         d2=1 + max((c for order, c, _ in terms if order == 2),
                                    default=-1))
     fwd = _slot_pass(store, layout, predictor_slots(p, dspec, pts, lift, layout),
-                     pts)
+                     pts, buffers=buffers)
     r = apply_operator(p, layout.unpack(fwd.F), pts) - rhs(p, pts)
     g = (2.0 / r.size) * r
     gF = np.zeros_like(fwd.F)
@@ -180,16 +185,18 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 
 
 def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
-                      batch: SampleBatch, lift: bool = False):
+                      batch: SampleBatch, lift: bool = False,
+                      buffers: SlotBuffers | None = None):
     """Mean squared boundary mismatch over a boundary batch, with gradient.
 
-    Only values enter, so the pass carries the value slot alone.
+    Only values enter, so the pass carries the value slot alone.  The pass
+    takes its work arrays from ``buffers``, or fresh ones when None.
     """
     if batch.region != "boundary":
         raise ValueError("BC loss needs a boundary batch")
     pts = batch.points
     fwd = _slot_pass(store, VALUES, predictor_slots(p, dspec, pts, lift, VALUES),
-                     pts)
+                     pts, buffers=buffers)
     m = fwd.F[0] - boundary_value(p, pts)
     return float(np.mean(m * m)), fwd.gradient((2.0 / m.size) * m[None])
 
@@ -238,6 +245,8 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     with its own fixed-seed generator.  Raises DivergenceError when the
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
     fixed order here, so every run is bit-reproducible for a given seed.
+    One ``SlotBuffers`` serves every pass of the run, so fixed-size batches
+    reuse the same work arrays from one iteration to the next.
     """
     if lift is None:
         lift = p.lift and dspec.kind != "none"
@@ -261,9 +270,11 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
                                np.random.default_rng(settings.eval_seed)).points
     eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES)
     eval_truth = ground_truth(p, eval_pts)
+    buffers = SlotBuffers()
 
     def current_error() -> float:
-        F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False).F[0]
+        F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False,
+                       buffers=buffers).F[0]
         return float(np.mean((F - eval_truth) ** 2))
 
     if not settings.fresh_batches:
@@ -276,8 +287,10 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
             boundary = sample_boundary(p, n_bc, rng)
         else:
             interior, boundary = fixed_interior, fixed_boundary
-        loss_pde, grad_pde = empirical_pde_loss(store, p, dspec, interior, lift)
-        loss_bc, grad_bc = empirical_bc_loss(store, p, dspec, boundary, lift)
+        loss_pde, grad_pde = empirical_pde_loss(store, p, dspec, interior, lift,
+                                                buffers)
+        loss_bc, grad_bc = empirical_bc_loss(store, p, dspec, boundary, lift,
+                                             buffers)
         total = loss_pde + loss_bc
         if not np.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(

@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL line and
 measured values for every criterion.  The training batteries (criteria 3,
 4 and 6) are stochastic reproductions at the published budgets and take
-around twenty minutes on two cores; everything else finishes in seconds.
+about five minutes on two cores; everything else finishes in seconds.
+Every test here carries the ``acceptance`` marker, so
+`pytest -m "not acceptance"` runs the fast suite alone.
 """
 
 import time
@@ -25,6 +27,8 @@ from pdpinn.training import (AdamState, TrainSettings, adam_step,
                              predictor_jets, train)
 
 from conftest import agree, fd_jet, fd_loss_gradient
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (0, 1, 2)
 ALL_IDS = ("poisson1d", "poisson2d", "sphere", "diffusion1d")

@@ -238,6 +238,24 @@ class TestVerifyBound:
                                store.layers, p, p.dictionary, q, False))
         assert fast == jet
 
+    @pytest.mark.parametrize("slope", [0.0, 0.25])
+    def test_lipschitz_constant_is_the_mismatch_slope(self, slope):
+        # F = u + slope * x: F - u has gradient slope everywhere and F has
+        # the residual of u; slope 0 is the oracle, whose mismatch is flat
+        p = problems.get("poisson1d")
+
+        def ramp(pts):
+            j = ground_truth_jet(p, pts)
+            return Jet2(j.value + slope * pts[:, 0], j.d1 + slope, j.d2)
+
+        report = verify_bound(None, p, p.dictionary, n_interior=2000,
+                              n_boundary=100, seed=5, predictor_fn=ramp)
+        residual = bounds._residual(p, lambda pts, layout: ramp(pts))
+        alone = estimate_lipschitz(bounds._central_gradients(residual),
+                                   p.lo, p.hi, seed=5 + 3)
+        assert alone < 1e-6
+        assert report.lipschitz_l == pytest.approx(max(slope, alone), rel=1e-12)
+
     def test_unsupported_problem_rejected(self):
         p = problems.get("sphere")
         with pytest.raises(ValueError, match="Poisson"):

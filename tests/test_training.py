@@ -5,8 +5,8 @@ from pdpinn import diffgraph as dg
 from pdpinn import problems, training
 from pdpinn.dictionaries import DictionarySpec, eval_dictionary
 from pdpinn.diffgraph import Jet2, NonFiniteError, ParamStore
-from pdpinn.network import (VALUES, MlpConfig, SlotLayout, SlotPass, init_mlp,
-                            mlp_forward)
+from pdpinn.network import (VALUES, MlpConfig, SlotBuffers, SlotLayout,
+                            SlotPass, init_mlp, mlp_forward)
 from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
                              ground_truth_jet, operator_terms, rhs)
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
@@ -177,17 +177,27 @@ class TestPredictError:
         store = ParamStore([(np.array([[10.0]]), np.zeros(1)),
                             (np.array([[1e308]]), np.zeros(1))])
         pts = np.array([[5.0], [-3.0], [0.05], [7.0], [-0.1], [9.0]])
+        batch = SampleBatch(pts, "interior")
         with np.errstate(over="ignore", invalid="ignore"):
             out = mlp_forward(store.layers, Jet2.seed(pts))
             bad = ~(np.isfinite(out.value) & np.isfinite(out.d1)
                     & np.isfinite(out.d2))[:, 0]
-            assert 0 < bad.sum() < len(pts)
-            with pytest.raises(NonFiniteError) as err:
-                empirical_pde_loss(store, p, DictionarySpec("none"),
-                                   SampleBatch(pts, "interior"))
+        assert 0 < bad.sum() < len(pts)
         first = pts[np.argmax(bad)]
-        assert str(err.value) == ("non-finite d1[x] in the output of layer 2 "
-                                  f"of 2; batch point {np.array2string(first)}")
+        # a pool whose arrays a finite pass on the same shapes filled
+        pool = SlotBuffers()
+        finite = ParamStore([(np.array([[10.0]]), np.zeros(1)),
+                             (np.array([[1.0]]), np.zeros(1))])
+        empirical_pde_loss(finite, p, DictionarySpec("none"), batch,
+                           buffers=pool)
+        for buffers in (None, pool):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFiniteError) as err:
+                empirical_pde_loss(store, p, DictionarySpec("none"), batch,
+                                   buffers=buffers)
+            assert str(err.value) == (
+                "non-finite d1[x] in the output of layer 2 of 2; "
+                f"batch point {np.array2string(first)}")
 
     def test_chunked_pass_names_the_row_of_the_whole_batch(self):
         # d1 of A tanh(10 x) overflows only near x = 0
@@ -252,13 +262,13 @@ class TestSlotPass:
         rng = np.random.default_rng(23)
         interior = sample_interior(p, p.n_pde, rng)
         boundary = sample_boundary(p, p.n_bc, rng)
+        buffers = SlotBuffers()         # one pool for every parameter state
 
         def total(st):
-            lp, gp = empirical_pde_loss(st, p, dspec, interior, lift)
-            lb, gb = empirical_bc_loss(st, p, dspec, boundary, lift)
+            lp, gp = empirical_pde_loss(st, p, dspec, interior, lift, buffers)
+            lb, gb = empirical_bc_loss(st, p, dspec, boundary, lift, buffers)
             return lp + lb, gp + gb
 
-        _, grad = total(store)
         v = rng.standard_normal(store.n_params)
         v /= np.linalg.norm(v)
         h, theta, shifted = 1e-5, store.flat(), store.copy()
@@ -266,6 +276,7 @@ class TestSlotPass:
         up, _ = total(shifted)
         shifted.set_flat(theta - h * v)
         down, _ = total(shifted)
+        _, grad = total(store)          # on arrays the shifted passes wrote
         fd, exact = (up - down) / (2.0 * h), grad @ v
         assert abs(fd - exact) <= 1e-5 * max(abs(fd), abs(exact))
 
@@ -292,15 +303,75 @@ class TestSlotPass:
         p, dspec, lift, store = published_model(pid, model)
         pts = sample_interior(p, 2 * FORWARD_CHUNK + 333,
                               np.random.default_rng(5)).points
+        pool = SlotBuffers()
         for layout in (VALUES, SlotLayout(p.coord_names),
                        SlotLayout(p.coord_names, d2=p.dim)):
-            whole = layout.unpack(SlotPass(
-                store.layers, layout,
-                *predictor_slots(p, dspec, pts, lift, layout)).F)
+            slots = predictor_slots(p, dspec, pts, lift, layout)
+            F = SlotPass(store.layers, layout, *slots).F
+            for _ in range(2):          # the second pass reuses filled arrays
+                pooled = SlotPass(store.layers, layout, *slots, retain=False,
+                                  buffers=pool)
+                assert np.array_equal(pooled.F, F)
+            whole = layout.unpack(F)
             chunked = predictor_fields(store, p, dspec, pts, lift, layout)
             for got, want in zip((chunked.value, chunked.d1, chunked.d2),
                                  (whole.value, whole.d1, whole.d2)):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_buffered_training_is_bitwise_the_unbuffered_training(
+            self, pid, model, monkeypatch):
+        p, dspec, lift, store = published_model(pid, model)
+        s = TrainSettings(iterations=6, record_every=3)
+
+        def run():
+            records, st = train(p, dspec, s, store=store.copy(), lift=lift)
+            return ([(r.iteration, r.loss_pde, r.loss_bc, r.error_predict)
+                     for r in records], st.flat())
+
+        buffered = run()
+        monkeypatch.setattr(training, "SlotBuffers", lambda: None)
+        records, theta = run()
+        assert buffered[0] == records
+        assert np.array_equal(buffered[1], theta)
+
+    def test_buffer_pool_is_fixed_after_the_second_iteration(self, monkeypatch):
+        pools, pool_ids = [], []
+
+        class Recorded(SlotBuffers):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        def step(state, store, grad):
+            adam_step(state, store, grad)
+            pool_ids.append({k: id(a) for k, a in pools[0].arrays.items()})
+
+        monkeypatch.setattr(training, "SlotBuffers", Recorded)
+        monkeypatch.setattr(training, "adam_step", step)
+        p = problems.get("poisson2d")
+        train(p, p.dictionary,
+              TrainSettings(iterations=10, hidden_width=8, record_every=1))
+        assert len(pools) == 1 and len(pool_ids) == 10
+        # iteration 2 is the first to follow a record-time evaluation
+        assert pool_ids[1] == pool_ids[9]
+        assert len(pool_ids[1]) > len(pool_ids[0])
+
+    def test_buffered_gradients_own_their_memory(self):
+        p, dspec, lift, store = published_model("poisson2d", "dictionary")
+        rng = np.random.default_rng(6)
+        buffers = SlotBuffers()
+        grads, kept = [], []
+        for _ in range(2):
+            for fn, batch in ((empirical_pde_loss, sample_interior(p, 200, rng)),
+                              (empirical_bc_loss, sample_boundary(p, 50, rng))):
+                grads.append(fn(store, p, dspec, batch, lift, buffers)[1])
+                kept.append(grads[-1].copy())
+        for i, g in enumerate(grads):
+            assert np.array_equal(g, kept[i])   # no later pass wrote over it
+            assert not any(np.shares_memory(g, a)
+                           for a in buffers.arrays.values())
+            assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
 
     def test_recorded_error_is_bitwise_the_jet_pass_error(self):
         p = problems.get("sphere")
