@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Train a Poisson model briefly, then print its error-bound report.
 
-Usage: python scripts/check_bounds.py [poisson1d|poisson2d] [--iterations N]
+Usage: python scripts/check_bounds.py [PROBLEM] [--iterations N] [--seed S]
+PROBLEM is any problem the elliptic bound applies to (default: the first
+in sorted order).
 """
 
 import argparse
@@ -10,13 +12,13 @@ import sys
 from pdpinn import bounds, problems, training
 
 
-def main():
+def main(argv=None):
+    choices = problems.with_elliptic_bound()
     ap = argparse.ArgumentParser()
-    ap.add_argument("problem", nargs="?", default="poisson1d",
-                    choices=["poisson1d", "poisson2d"])
+    ap.add_argument("problem", nargs="?", default=choices[0], choices=choices)
     ap.add_argument("--iterations", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = problems.get(args.problem)
     records, store = training.train(

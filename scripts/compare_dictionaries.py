@@ -13,12 +13,12 @@ from pdpinn import problems, training
 from pdpinn.dictionaries import DictionarySpec
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("problem", choices=sorted(problems.PROBLEMS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--iterations", type=int, default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     p = problems.get(args.problem)
     for seed in args.seeds:

@@ -13,13 +13,13 @@ import sys
 from pdpinn import cli, problems
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser()
     ap.add_argument("--iterations", type=int, default=None,
                     help="override the per-problem default budget")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="runs")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     for pid in sorted(problems.PROBLEMS):
         out_dir = os.path.join(args.out, pid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth
                        ground_truth_jet, rhs)
 from .sampling import sample_boundary, sample_interior
 from .training import predictor_fields
-
-SLAB_WIDTH = 20.0        # both Poisson domains fit between planes 20 apart
 
 # sup refinement: local grid points and its radius as a domain fraction
 _REFINE_POINTS = 1000
@@ -38,10 +36,28 @@ class UnsupportedDomainError(ValueError):
 # Domain descriptors for the regularity constant
 # --------------------------------------------------------------------------
 
+class _Domain:
+    """Rejects non-finite values, empty extents and infinite measures."""
+
+    def __post_init__(self):
+        values = [float(v) for f in fields(self)
+                  for v in np.ravel(getattr(self, f.name))]
+        with np.errstate(over="ignore"):
+            if (all(map(math.isfinite, values)) and self._nonempty()
+                    and self.measure < math.inf):
+                return
+        raise UnsupportedDomainError(
+            f"degenerate domain {self}: values must be finite and "
+            "span a positive, finite measure")
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Domain):
     a: float
     b: float
+
+    def _nonempty(self):
+        return self.a < self.b
 
     @property
     def dim(self):
@@ -53,13 +69,17 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Box:
+class Box(_Domain):
     lo: tuple
     hi: tuple
 
     def __post_init__(self):
         if len(self.lo) not in (2, 3) or len(self.lo) != len(self.hi):
             raise UnsupportedDomainError("boxes must be 2- or 3-dimensional")
+        super().__post_init__()
+
+    def _nonempty(self):
+        return all(lo < hi for lo, hi in zip(self.lo, self.hi))
 
     @property
     def dim(self):
@@ -71,10 +91,13 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Domain):
     cx: float
     cy: float
     r: float
+
+    def _nonempty(self):
+        return self.r > 0.0
 
     @property
     def dim(self):
@@ -82,30 +105,40 @@ class Disk:
 
     @property
     def measure(self):
-        return math.pi * self.r ** 2
+        # a huge r overflows to inf here, where r ** 2 would raise
+        return math.pi * (self.r * self.r)
 
 
 def ball_volume(dim: int, r) -> np.ndarray:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * np.asarray(r) ** dim
 
 
+_DOMAIN_FIELDS = {"interval": ("a", "b"),
+                  "box": ("ax", "bx", "ay", "by", "az", "bz"),
+                  "disk": ("cx", "cy", "r")}
+
+
 def parse_domain(text: str):
     """'interval:a,b' | 'box:ax,bx,ay,by[,az,bz]' | 'disk:cx,cy,r'."""
     kind, _, rest = text.partition(":")
-    vals = [float(v) for v in rest.split(",")] if rest else []
-    if kind == "interval":
-        _check_arity(kind, vals, ("a", "b"))
-        return Interval(*vals)
-    if kind == "box":
-        if len(vals) == 4:
-            return Box((vals[0], vals[2]), (vals[1], vals[3]))
-        if len(vals) == 6:
-            return Box((vals[0], vals[2], vals[4]), (vals[1], vals[3], vals[5]))
+    if kind not in _DOMAIN_FIELDS:
+        raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    names = _DOMAIN_FIELDS[kind]
+    raw = rest.split(",") if rest else []
+    if kind == "box" and len(raw) not in (4, 6):
         raise UnsupportedDomainError("box needs 4 or 6 bounds")
-    if kind == "disk":
-        _check_arity(kind, vals, ("cx", "cy", "r"))
-        return Disk(*vals)
-    raise UnsupportedDomainError(f"unknown domain kind {kind!r}")
+    if kind != "box":
+        _check_arity(kind, raw, names)
+    vals = []
+    for name, value in zip(names, raw):
+        try:
+            vals.append(float(value))
+        except ValueError:
+            raise UnsupportedDomainError(
+                f"{kind} field {name}: {value!r} is not a number") from None
+    if kind == "box":
+        return Box(tuple(vals[0::2]), tuple(vals[1::2]))
+    return Interval(*vals) if kind == "interval" else Disk(*vals)
 
 
 def _check_arity(kind: str, vals, names) -> None:
@@ -189,6 +222,10 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
     """
     if not isinstance(domain, (Interval, Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
+    if mc_points < 1:
+        raise ValueError(f"mc_points must be at least 1, got {mc_points}")
+    if grid is not None and grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     rng = np.random.default_rng(seed)
     dim = domain.dim
     if grid is None:
@@ -299,6 +336,7 @@ def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
     overrides the stored network; oracle injection substitutes the exact
     solution this way to validate the whole pipeline.
     """
+    _check_bound_applies(p)
     rng = np.random.default_rng(seed)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
@@ -322,12 +360,13 @@ def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
     mis = mismatch_abs(bpts)
     d1_exp = float(np.mean(mis))
     k = int(np.argmax(mis))
-    if p.id == "poisson2d":
-        # refine along the edge through the arg-max
+    if p.dim == 2:
+        # refine along the edge of the square through the arg-max
         x0 = bpts[k]
-        axis = 0 if np.isclose(abs(x0[1]), 10.0) else 1
-        along = np.linspace(max(-10.0, x0[axis] - 0.2),
-                            min(10.0, x0[axis] + 0.2), _REFINE_POINTS)
+        axis = 0 if np.isclose(x0[1], lo[1]) or np.isclose(x0[1], hi[1]) else 1
+        radius = (hi[axis] - lo[axis]) * _REFINE_FRACTION
+        along = np.linspace(max(lo[axis], x0[axis] - radius),
+                            min(hi[axis], x0[axis] + radius), _REFINE_POINTS)
         local = np.tile(x0, (_REFINE_POINTS, 1))
         local[:, axis] = along
         d1_sup = max(float(mis[k]), float(np.max(mismatch_abs(local))))
@@ -417,7 +456,7 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _square_perimeter_regularity(half: float = 10.0, grid: int = 48,
+def _square_perimeter_regularity(half: float, grid: int = 48,
                                  seed: int = 0) -> float:
     """Regularity of the square's edge set under arc-length measure.
 
@@ -461,18 +500,24 @@ def _perimeter_points(u, half: float) -> np.ndarray:
     return np.column_stack([x, y])
 
 
+def _check_bound_applies(p: ProblemSpec) -> None:
+    side = np.subtract(p.hi, p.lo)
+    if not p.elliptic_bound or p.dim > 2 or np.any(side != side[0]):
+        raise ValueError("bounds are computed for the Poisson problems only, "
+                         f"on an interval or a square, not for {p.id}")
+
+
 def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
                  lift: bool = False, n_interior: int = 20_000,
                  n_boundary: int = 2_000, seed: int = 0,
                  predictor_fn=None) -> BoundReport:
     """Assemble the full report for a trained Poisson predictor.
 
-    The 1-D boundary is two points: the sup there is at most twice the
-    mean, which replaces the Lipschitz conversion (regularity 1 under
+    The geometry comes from the problem's box: an interval, whose boundary
+    is two points, or a square.  On two points the sup is at most twice
+    the mean, which replaces the Lipschitz conversion (regularity 1 under
     counting measure).  Warns loudly if either bound is violated.
     """
-    if p.id not in ("poisson1d", "poisson2d"):
-        raise ValueError("bounds are computed for the Poisson problems only")
     jets = _predictor(store, p, dspec, lift, predictor_fn)
     residual = _residual(p, jets)
     d1_sup, d2_sup, d1_exp, d2_exp = estimate_sup_deltas(
@@ -492,22 +537,21 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
               estimate_lipschitz(_central_gradients(residual), lo, hi,
                                  seed=seed + 3))
 
-    if p.id == "poisson1d":
-        domain = Interval(-10.0, 10.0)
-        reg_interior = estimate_regularity(domain, grid=21)
+    side = hi - lo
+    slab_width = float(side.min())     # planes this far apart enclose the box
+    if p.dim == 1:
+        domain = Interval(p.lo[0], p.hi[0])
         reg_boundary = 1.0
         td1 = 2.0 * d1_exp      # two-point boundary: sup <= sum = 2 * mean
-        boundary_measure = 2.0
     else:
-        domain = Box((-10.0, -10.0), (10.0, 10.0))
-        reg_interior = estimate_regularity(domain, mc_points=20_000, grid=7)
-        reg_boundary = _square_perimeter_regularity()
-        boundary_measure = 80.0
-        td1 = tilde_delta(d1_exp, lip, reg_boundary, boundary_measure, p.dim)
+        domain = Box(p.lo, p.hi)
+        reg_boundary = _square_perimeter_regularity(side[0] / 2.0)
+        td1 = tilde_delta(d1_exp, lip, reg_boundary, 4.0 * side[0], p.dim)
+    reg_interior = estimate_regularity(domain, mc_points=20_000)
     td2 = tilde_delta(d2_exp, lip, reg_interior, p.volume, p.dim)
 
-    bound_sup = poisson_bound(d1_sup, d2_sup, SLAB_WIDTH)
-    bound_exp = poisson_bound(td1, td2, SLAB_WIDTH)
+    bound_sup = poisson_bound(d1_sup, d2_sup, slab_width)
+    bound_exp = poisson_bound(td1, td2, slab_width)
 
     ipts = sample_interior(p, n_interior, rng).points
     errs = np.abs(jets(ipts, VALUES).value - ground_truth(p, ipts))
@@ -523,7 +567,7 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
         lipschitz_l=lip,
         regularity_interior=reg_interior, regularity_boundary=reg_boundary,
         tilde_delta1=td1, tilde_delta2=td2,
-        slab_width=SLAB_WIDTH,
+        slab_width=slab_width,
         bound_sup=bound_sup, bound_exp=bound_exp,
         observed_sup_error=observed,
         sup_bound_holds=observed <= bound_sup,

@@ -13,7 +13,7 @@ from . import bounds, config, problems, training
 from .dictionaries import DictionarySpec
 from .diffgraph import NonFiniteError
 from .network import load_checkpoint, save_checkpoint
-from .problems import POLE_EPS, ground_truth
+from .problems import ground_truth
 from .training import DivergenceError, predict_values
 
 EXIT_DIVERGED = 3
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     grid_p.add_argument("--dictionary", required=True,
                         help="dictionary used at training time, e.g. fourier1d:8")
     grid_p.add_argument("--no-lift", action="store_true",
-                        help="checkpoint was trained without sphere lifting")
+                        help="checkpoint was trained without coordinate lifting")
     grid_p.add_argument("--resolution", type=int, default=None,
                         help="grid points per axis (1000 for 1-D, else 200)")
     grid_p.add_argument("--out", required=True, help="output CSV path")
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     bounds_p = sub.add_parser("bounds", help="error-bound report for a checkpoint")
     bounds_p.add_argument("--checkpoint", required=True)
     bounds_p.add_argument("--problem", required=True,
-                          choices=["poisson1d", "poisson2d"])
+                          choices=problems.with_elliptic_bound())
     bounds_p.add_argument("--dictionary", required=True)
     bounds_p.add_argument("--seed", type=int, default=0)
     bounds_p.add_argument("--out", help="write the report JSON here")
@@ -98,12 +98,12 @@ def _cmd_run(args) -> int:
         cfg.iterations = args.iterations
     if args.seed is not None:
         cfg.seed = args.seed
+    settings = cfg.settings()
     out_dir = args.out or cfg.out_dir or config.default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
 
     p = problems.get(cfg.problem)
-    records, store = training.train(p, cfg.dictionary, cfg.settings(),
-                                    lift=cfg.lift)
+    records, store = training.train(p, cfg.dictionary, settings, lift=cfg.lift)
     csv_path = os.path.join(out_dir, "train.csv")
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     training.write_records_csv(records, csv_path)
@@ -132,18 +132,15 @@ def _cmd_run(args) -> int:
 
 
 def _grid_points(p, resolution):
-    if p.dim == 1:
-        res = resolution or 1000
-        return np.linspace(p.lo[0], p.hi[0], res)[:, None]
-    res = resolution or 200
-    if p.id == "sphere":
-        a = np.linspace(POLE_EPS, np.pi - POLE_EPS, res)
-        b = np.linspace(0.0, 2.0 * np.pi, res, endpoint=False)
-    else:
-        a = np.linspace(p.lo[0], p.hi[0], res)
-        b = np.linspace(p.lo[1], p.hi[1], res)
-    A, B = np.meshgrid(a, b, indexing="ij")
-    return np.column_stack([A.ravel(), B.ravel()])
+    """Tensor grid over the chart; periodic axes leave out their far end."""
+    if resolution is None:
+        resolution = 1000 if p.dim == 1 else 200
+    if resolution < 1:
+        raise ValueError(f"--resolution must be at least 1, got {resolution}")
+    axes = [np.linspace(lo, hi, resolution, endpoint=k not in p.periodic)
+            for k, (lo, hi) in enumerate(zip(p.lo, p.hi))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
 
 
 def _load_matching_checkpoint(path, p, dspec: DictionarySpec, lift: bool):

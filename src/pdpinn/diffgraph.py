@@ -121,16 +121,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return _jet_mul(self, _recip(other))
-        if np.any(np.asarray(other) == 0.0):
-            raise JetDomainError("division by zero")
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return _recip(self) * other
-
 
 def _jet_mul(f: Jet2, g: Jet2) -> Jet2:
     # The d2 grouping keeps the result bitwise symmetric under f <-> g.
@@ -164,18 +154,6 @@ def cos(x: Jet2):
         raise TypeError("cos is not a traced primitive; apply it to constant jets")
     s, c = np.sin(x.value), np.cos(x.value)
     return chain_univariate(x, c, -s, -c)
-
-
-def exp(x: Jet2) -> Jet2:
-    e = np.exp(x.value)
-    return chain_univariate(x, e, e, e)
-
-
-def _recip(x: Jet2) -> Jet2:
-    if np.any(x.value == 0.0):
-        raise JetDomainError("division by zero")
-    inv = 1.0 / x.value
-    return chain_univariate(x, inv, -inv * inv, 2.0 * inv ** 3)
 
 
 def powi(x: Jet2, p: int) -> Jet2:

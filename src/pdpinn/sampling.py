@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import POLE_EPS, ProblemSpec
+from .problems import ProblemSpec
 
 
 @dataclass
@@ -19,40 +19,13 @@ def sample_interior(p: ProblemSpec, n: int, rng: np.random.Generator) -> SampleB
     """Uniform draw over the interior (area-uniform on the sphere)."""
     if n < 1:
         raise ValueError("need n >= 1 interior samples")
-    if p.id == "sphere":
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        z = rng.uniform(np.cos(np.pi - POLE_EPS), np.cos(POLE_EPS), size=n)
-        theta = np.arccos(z)
-        pts = np.column_stack([theta, phi])
-    else:
-        pts = rng.uniform(p.lo, p.hi, size=(n, p.dim))
-    return SampleBatch(pts, "interior")
+    if p.sample_interior is None:
+        return SampleBatch(rng.uniform(p.lo, p.hi, size=(n, p.dim)), "interior")
+    return SampleBatch(p.sample_interior(n, rng), "interior")
 
 
 def sample_boundary(p: ProblemSpec, n: int, rng: np.random.Generator) -> SampleBatch:
-    """Uniform draw over the boundary.
-
-    Fixed-point boundaries ignore n: the 1-D problem always contributes
-    both endpoints and the sphere its single anchor point.  The diffusion
-    boundary unifies the initial slab with the two space edges, weighted
-    by their 1-D measures (20 : 1 : 1).
-    """
+    """Uniform draw over the boundary; fixed-point boundaries ignore n."""
     if n < 1:
         raise ValueError("need n >= 1 boundary samples")
-    if p.id == "poisson1d":
-        return SampleBatch(np.array([[-10.0], [10.0]]), "boundary")
-    if p.id == "sphere":
-        return SampleBatch(np.array([[1.0, 1.0]]), "boundary")
-    if p.id == "poisson2d":
-        edge = rng.integers(0, 4, size=n)
-        along = rng.uniform(-10.0, 10.0, size=n)
-        x = np.where(edge < 2, along, np.where(edge == 2, -10.0, 10.0))
-        y = np.where(edge < 2, np.where(edge == 0, -10.0, 10.0), along)
-        return SampleBatch(np.column_stack([x, y]), "boundary")
-    # diffusion: pieces are (t=0 slab, x=-10 edge, x=+10 edge)
-    u = rng.uniform(0.0, 22.0, size=n)
-    t_edge = u >= 20.0
-    x = np.where(t_edge, np.where(u < 21.0, -10.0, 10.0),
-                 rng.uniform(-10.0, 10.0, size=n))
-    t = np.where(t_edge, rng.uniform(0.0, 1.0, size=n), 0.0)
-    return SampleBatch(np.column_stack([x, t]), "boundary")
+    return SampleBatch(p.sample_boundary(n, rng), "boundary")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -67,6 +68,16 @@ class TrainSettings:
     record_every: int = 10
     fresh_batches: bool = True           # False: fixed collocation ablation
 
+    def __post_init__(self):
+        if self.iterations is not None and self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.record_every < 1:
+            raise ValueError(
+                f"record_every must be >= 1, got {self.record_every}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
+
 
 # --------------------------------------------------------------------------
 # Predictor assembly
@@ -85,8 +96,8 @@ def net_input_jet(p: ProblemSpec, points: np.ndarray, lift: bool) -> Jet2:
     x = Jet2.seed(points)
     if not lift:
         return x
-    if p.id != "sphere":
-        raise ValueError("lifting applies only to the sphere problem")
+    if not p.lift:
+        raise ValueError(f"lifting does not apply to the {p.id} problem")
     return lift_sphere(x.component(0), x.component(1))
 
 

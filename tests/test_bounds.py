@@ -137,7 +137,7 @@ class TestRegularity:
             d = np.linalg.norm(pts - c, axis=1)
             for r in radii:
                 want = min(want, np.mean(d <= r) * total / min(total, math.pi * r ** 2))
-        assert bounds._square_perimeter_regularity() == float(want)
+        assert bounds._square_perimeter_regularity(half) == float(want)
 
     def test_parse_domain_round_trips(self):
         assert parse_domain("interval:0,1") == Interval(0.0, 1.0)
@@ -154,6 +154,42 @@ class TestRegularity:
             parse_domain("interval:1")
         with pytest.raises(UnsupportedDomainError, match="missing cy,r"):
             parse_domain("disk:0")
+
+    @pytest.mark.parametrize("text", [
+        "interval:5,1", "interval:1,1", "disk:0,0,-1", "disk:0,0,0",
+        "box:1,0,0,1", "box:0,1,0,1,2,2", "interval:0,inf", "interval:nan,1",
+        "disk:0,0,1e200", "box:-1e308,1e308,0,1"])
+    def test_degenerate_domain_rejected(self, text):
+        with pytest.raises(UnsupportedDomainError, match="degenerate domain"):
+            parse_domain(text)
+
+    def test_non_numeric_value_names_kind_and_field(self):
+        with pytest.raises(UnsupportedDomainError,
+                           match="interval field b: 'a' is not a number"):
+            parse_domain("interval:0,a")
+        with pytest.raises(UnsupportedDomainError, match="box field ay"):
+            parse_domain("box:0,1,,1")
+
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.builds(lambda kind, vals: f"{kind}:" + ",".join(vals),
+                  st.sampled_from(["interval", "box", "disk", "torus"]),
+                  st.lists(st.one_of(st.floats().map(repr),
+                                     st.sampled_from(["", "x", "inf", "-0"])),
+                           max_size=7))))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_yields_positive_measure_or_named_error(self, text):
+        try:
+            domain = parse_domain(text)
+        except UnsupportedDomainError:
+            return
+        assert 0.0 < domain.measure < math.inf
+
+    def test_empty_grid_and_sample_rejected(self):
+        with pytest.raises(ValueError, match="grid"):
+            estimate_regularity(Interval(0.0, 1.0), grid=0)
+        with pytest.raises(ValueError, match="mc_points"):
+            estimate_regularity(Box((0.0, 0.0), (1.0, 1.0)), mc_points=0)
 
 
 class TestLipschitz:

@@ -134,6 +134,27 @@ class TestRunCommand:
         rc = cli.main(["run", "--config", str(path)])
         assert rc == cli.EXIT_DIVERGED
 
+    @pytest.mark.parametrize("key,value", [
+        ("record_every", "0"), ("record_every", "-1"), ("iterations", "-2"),
+        ("learning_rate", "0"), ("learning_rate", "-0.001"),
+        ("learning_rate", "nan"), ("learning_rate", "inf")])
+    def test_invalid_setting_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                      key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        f"[training]\n{key} = {value}\n"
+                        f"out_dir = {tmp_path / 'out'}\n")
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_negative_iterations_flag_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["run", "--preset", "poisson1d", "--iterations", "-2",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "iterations" in capsys.readouterr().err
+
 
 class TestDumpGrid:
     def test_grid_rows_and_columns(self, tiny_run, tmp_path):
@@ -172,6 +193,25 @@ class TestDumpGrid:
         assert lines[0].startswith("x,t,")
         assert len(lines) == 50 * 50 + 1
 
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_resolution_below_one_exits_2(self, tiny_run, tmp_path, capsys,
+                                          resolution):
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["dump-grid", "--checkpoint", str(tiny_run / "model.ckpt"),
+                       "--problem", "poisson1d", "--dictionary", "fourier1d:8",
+                       "--resolution", resolution, "--out", str(out)])
+        assert rc == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_resolution(self, tiny_run, tmp_path):
+        out = tmp_path / "grid.csv"
+        rc = cli.main(["dump-grid", "--checkpoint", str(tiny_run / "model.ckpt"),
+                       "--problem", "poisson1d", "--dictionary", "fourier1d:8",
+                       "--out", str(out)])
+        assert rc == 0
+        assert len(out.read_text().strip().splitlines()) == 1000 + 1
+
 
 class TestRegularityCommand:
     def test_interval(self, capsys):
@@ -187,6 +227,28 @@ class TestRegularityCommand:
         rc = cli.main(["regularity", "--domain", "interval:1"])
         assert rc == 2
         assert "missing b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["interval:5,1", "disk:0,0,-1",
+                                        "box:1,0,0,1"])
+    def test_degenerate_domain_exits_2(self, capsys, domain):
+        rc = cli.main(["regularity", "--domain", domain])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "degenerate domain" in captured.err
+        assert captured.out == ""
+
+    def test_non_numeric_value_names_the_field(self, capsys):
+        rc = cli.main(["regularity", "--domain", "interval:0,a"])
+        assert rc == 2
+        assert "interval field b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--grid", "--mc-points"])
+    def test_zero_grid_or_samples_exits_2(self, capsys, flag):
+        rc = cli.main(["regularity", "--domain", "interval:0,1", flag, "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert flag.lstrip("-").replace("-", "_") in captured.err
+        assert captured.out == ""
 
 
 class TestBoundsCommand:
