@@ -44,7 +44,7 @@ class _Domain:
                   for v in np.ravel(getattr(self, f.name))]
         with np.errstate(over="ignore"):
             if (all(map(math.isfinite, values)) and self._nonempty()
-                    and self.measure < math.inf):
+                    and 0.0 < self.measure < math.inf):
                 return
         raise UnsupportedDomainError(
             f"degenerate domain {self}: values must be finite and "

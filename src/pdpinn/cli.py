@@ -90,14 +90,9 @@ def _cmd_run(args) -> int:
         cfg.dictionary = DictionarySpec.parse(args.dictionary)
         if cfg.dictionary.kind == "none":
             cfg.lift = False
-    if args.hidden_layers is not None:
-        cfg.hidden_layers = args.hidden_layers
-    if args.hidden_width is not None:
-        cfg.hidden_width = args.hidden_width
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for name in ("hidden_layers", "hidden_width", "iterations", "seed"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     settings = cfg.settings()
     out_dir = args.out or cfg.out_dir or config.default_out_dir()
     os.makedirs(out_dir, exist_ok=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from . import problems
 from .dictionaries import DictionarySpec
@@ -18,47 +18,23 @@ from .training import TrainSettings
 ENV_OUT_DIR = "PDPINN_OUT"
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(TrainSettings):
+    """One run: the problem, its dictionary and lifting, and the settings."""
+
     problem: str
     dictionary: DictionarySpec
     lift: bool
-    hidden_layers: int = 3
-    hidden_width: int = 50
-    iterations: int = 1000
-    n_pde: int = 100
-    n_bc: int = 2
-    n_pred: int = 1000
-    seed: int = 0
-    learning_rate: float = 0.001
-    record_every: int = 10
-    fresh_batches: bool = True
     out_dir: str = ""
 
     def settings(self) -> TrainSettings:
-        return TrainSettings(
-            hidden_layers=self.hidden_layers, hidden_width=self.hidden_width,
-            iterations=self.iterations, n_pde=self.n_pde, n_bc=self.n_bc,
-            n_pred=self.n_pred, seed=self.seed,
-            learning_rate=self.learning_rate, record_every=self.record_every,
-            fresh_batches=self.fresh_batches)
+        return TrainSettings(**{f.name: getattr(self, f.name)
+                                for f in fields(TrainSettings)})
 
     def describe(self) -> dict:
-        return {
-            "problem": self.problem,
-            "dictionary": self.dictionary.label(),
-            "lift": self.lift,
-            "hidden_layers": self.hidden_layers,
-            "hidden_width": self.hidden_width,
-            "iterations": self.iterations,
-            "n_pde": self.n_pde,
-            "n_bc": self.n_bc,
-            "n_pred": self.n_pred,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "record_every": self.record_every,
-            "fresh_batches": self.fresh_batches,
-        }
+        """The run for summary.json: every field but ``out_dir``."""
+        return {"problem": self.problem, "dictionary": self.dictionary.label(),
+                "lift": self.lift, **asdict(self.settings())}
 
 
 def preset(problem_id: str) -> ExperimentConfig:
@@ -74,16 +50,19 @@ def default_out_dir() -> str:
     return os.environ.get(ENV_OUT_DIR, "runs")
 
 
-_BOOL_FIELDS = {"lift", "fresh_batches"}
 # fields older files may set that no longer do anything; they are skipped
 _RETIRED_FIELDS = {"deterministic"}
-_INT_FIELDS = {"hidden_layers", "hidden_width", "iterations", "n_pde",
-               "n_bc", "n_pred", "seed", "record_every"}
-_FLOAT_FIELDS = {"learning_rate"}
+# the settings written under [network]; every other setting goes to [training]
+_NETWORK_FIELDS = ("hidden_layers", "hidden_width")
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI experiment file; errors name the offending field."""
+    """Parse an INI experiment file; errors name the offending field.
+
+    ``problem`` and ``dictionary`` are read from [experiment]; any other
+    field may sit in any section, and its value is parsed with the type of
+    the preset's value for that field.
+    """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -100,26 +79,22 @@ def load_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}: experiment.dictionary: {e}") from None
         if cfg.dictionary.kind == "none":
             cfg.lift = False
-    if "out_dir" in exp:
-        cfg.out_dir = exp["out_dir"]
 
+    names = {f.name for f in fields(cfg)}
     for section in ("network", "training", "experiment"):
         if section not in parser:
             continue
         for key, raw in parser[section].items():
-            if key in ("problem", "dictionary", "out_dir") or key in _RETIRED_FIELDS:
+            if key in ("problem", "dictionary") or key in _RETIRED_FIELDS:
                 continue
-            if not hasattr(cfg, key):
+            if key not in names:
                 raise ValueError(f"{path}: unknown field {section}.{key}")
+            cast = type(getattr(cfg, key))
             try:
-                if key in _BOOL_FIELDS:
+                if cast is bool:
                     value = parser[section].getboolean(key)
-                elif key in _INT_FIELDS:
-                    value = int(raw)
-                elif key in _FLOAT_FIELDS:
-                    value = float(raw)
                 else:
-                    value = raw
+                    value = cast(raw)
             except ValueError:
                 raise ValueError(
                     f"{path}: invalid value for {section}.{key}: {raw!r}") from None
@@ -127,27 +102,20 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _ini_text(value) -> str:
+    if isinstance(value, DictionarySpec):
+        return value.label()
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def save_config(cfg: ExperimentConfig, path) -> None:
+    settings = {f.name for f in fields(TrainSettings)}
+    sections = {"experiment": {}, "network": {}, "training": {}}
+    for f in fields(cfg):
+        section = ("network" if f.name in _NETWORK_FIELDS else
+                   "training" if f.name in settings else "experiment")
+        sections[section][f.name] = _ini_text(getattr(cfg, f.name))
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "problem": cfg.problem,
-        "dictionary": cfg.dictionary.label(),
-        "lift": str(cfg.lift).lower(),
-        "out_dir": cfg.out_dir,
-    }
-    parser["network"] = {
-        "hidden_layers": str(cfg.hidden_layers),
-        "hidden_width": str(cfg.hidden_width),
-    }
-    parser["training"] = {
-        "iterations": str(cfg.iterations),
-        "n_pde": str(cfg.n_pde),
-        "n_bc": str(cfg.n_bc),
-        "n_pred": str(cfg.n_pred),
-        "seed": str(cfg.seed),
-        "learning_rate": str(cfg.learning_rate),
-        "record_every": str(cfg.record_every),
-        "fresh_batches": str(cfg.fresh_batches).lower(),
-    }
+    parser.read_dict(sections)
     with open(path, "w") as fh:
         parser.write(fh)

@@ -76,14 +76,21 @@ class DictionarySpec:
         if kind not in _PARAMS:
             raise ValueError(f"unknown dictionary kind {kind!r}")
         names = _PARAMS[kind]
-        nums = [int(p) for p in params.split(",")] if params else []
-        if len(nums) < len(names):
+        values = params.split(",") if params else []
+        if len(values) < len(names):
             raise ValueError(f"{kind} needs {','.join(names)}: "
-                             f"missing {','.join(names[len(nums):])}")
-        if len(nums) > len(names):
+                             f"missing {','.join(names[len(values):])}")
+        if len(values) > len(names):
             raise ValueError(f"{kind} takes {len(names)} parameter(s), "
-                             f"got {len(nums)}")
-        return DictionarySpec(kind, **dict(zip(names, nums)))
+                             f"got {len(values)}")
+        nums = {}
+        for name, value in zip(names, values):
+            try:
+                nums[name] = int(value)
+            except ValueError:
+                raise ValueError(f"{kind} parameter {name}: {value!r} "
+                                 "is not an integer") from None
+        return DictionarySpec(kind, **nums)
 
 
 # --------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def _in_box(pts, lo, hi):
 
 
 def _near(a, level):
-    return np.isclose(a, level, atol=_BTOL)
+    return np.isclose(a, level, rtol=0.0, atol=_BTOL)
 
 
 # poisson1d: u'' = q on [-10, 10], Dirichlet data at both ends

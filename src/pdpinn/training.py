@@ -23,6 +23,9 @@ DIVERGENCE_LIMIT = 1e12
 # whole-batch pass, so chunking leaves the results bitwise unchanged.
 FORWARD_CHUNK = 4096
 
+# Seed of the prediction-error sample, separate from the training noise.
+EVAL_SEED = 777
+
 
 class DivergenceError(RuntimeError):
     """Training loss exploded; carries the iteration and loss values."""
@@ -63,17 +66,18 @@ class TrainSettings:
     n_bc: int | None = None
     n_pred: int = 1000
     seed: int = 0
-    eval_seed: int = 777                 # fixed, separate from training noise
     learning_rate: float = 0.001
     record_every: int = 10
     fresh_batches: bool = True           # False: fixed collocation ablation
 
     def __post_init__(self):
-        if self.iterations is not None and self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.record_every < 1:
-            raise ValueError(
-                f"record_every must be >= 1, got {self.record_every}")
+        minimums = {"hidden_layers": 1, "hidden_width": 1, "iterations": 0,
+                    "n_pde": 1, "n_bc": 1, "n_pred": 1, "seed": 0,
+                    "record_every": 1}
+        for name, least in minimums.items():
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
@@ -219,7 +223,7 @@ def predict_error(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
     if n < 1:
         raise ValueError("need n >= 1 prediction points")
     if rng is None:
-        rng = np.random.default_rng(TrainSettings.eval_seed)
+        rng = np.random.default_rng(EVAL_SEED)
     pts = sample_interior(p, n, rng).points
     vals = predict_values(store, p, dspec, pts, lift)
     return float(np.mean((vals - ground_truth(p, pts)) ** 2))
@@ -278,7 +282,7 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
 
     # fixed evaluation set: same points as predict_error with the eval seed
     eval_pts = sample_interior(p, settings.n_pred,
-                               np.random.default_rng(settings.eval_seed)).points
+                               np.random.default_rng(EVAL_SEED)).points
     eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES)
     eval_truth = ground_truth(p, eval_pts)
     buffers = SlotBuffers()

@@ -158,7 +158,8 @@ class TestRegularity:
     @pytest.mark.parametrize("text", [
         "interval:5,1", "interval:1,1", "disk:0,0,-1", "disk:0,0,0",
         "box:1,0,0,1", "box:0,1,0,1,2,2", "interval:0,inf", "interval:nan,1",
-        "disk:0,0,1e200", "box:-1e308,1e308,0,1"])
+        "disk:0,0,1e200", "box:-1e308,1e308,0,1",
+        "disk:0.0,0.0,2.665965814357895e-171", "box:0,1e-200,0,1e-200"])
     def test_degenerate_domain_rejected(self, text):
         with pytest.raises(UnsupportedDomainError, match="degenerate domain"):
             parse_domain(text)

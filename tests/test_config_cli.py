@@ -1,4 +1,7 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +88,19 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="cannot read"):
             config.load_config(tmp_path / "nope.ini")
 
+    def test_readme_example_loads_with_the_saved_keys(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = tmp_path / "readme.ini"
+        example.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        saved = tmp_path / "saved.ini"
+        config.save_config(config.load_config(example), saved)
+
+        def keys(path):
+            parser = configparser.ConfigParser()
+            parser.read(path)
+            return {(s, k) for s in parser.sections() for k in parser[s]}
+        assert keys(example) == keys(saved)
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -137,7 +153,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("key,value", [
         ("record_every", "0"), ("record_every", "-1"), ("iterations", "-2"),
         ("learning_rate", "0"), ("learning_rate", "-0.001"),
-        ("learning_rate", "nan"), ("learning_rate", "inf")])
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("seed", "-1"),
+        ("n_pred", "0"), ("n_pde", "0"), ("n_bc", "-4"),
+        ("hidden_layers", "0"), ("hidden_width", "0")])
     def test_invalid_setting_exits_2_naming_the_field(self, tmp_path, capsys,
                                                       key, value):
         path = tmp_path / "bad.ini"
@@ -154,6 +172,30 @@ class TestRunCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--seed", "-1", "seed"), ("--hidden-layers", "0", "hidden_layers"),
+        ("--hidden-width", "0", "hidden_width")])
+    def test_invalid_flag_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                   flag, value, field):
+        rc = cli.main(["run", "--preset", "poisson1d", flag, value,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{field} must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["describe", "settings", "__class__",
+                                     "eval_seed"])
+    def test_non_field_key_exits_2_naming_section_and_key(self, tmp_path,
+                                                          capsys, key):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        f"[training]\n{key} = 1\n"
+                        f"out_dir = {tmp_path / 'out'}\n")
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert f"unknown field training.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDumpGrid:

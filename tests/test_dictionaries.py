@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdpinn import diffgraph as dg
 from pdpinn import problems
@@ -51,6 +53,34 @@ class TestSpec:
             DictionarySpec.parse("fourier2d:5")
         with pytest.raises(ValueError, match="got 2"):
             DictionarySpec.parse("spherical-harmonics:3,4")
+
+    def test_parse_names_a_non_integer_parameter(self):
+        with pytest.raises(ValueError,
+                           match="fourier1d parameter k: 'a' is not an integer"):
+            DictionarySpec.parse("fourier1d:a")
+        with pytest.raises(ValueError,
+                           match="fourier2d parameter k2: '' is not an integer"):
+            DictionarySpec.parse("fourier2d:5,")
+        with pytest.raises(ValueError, match="takes 1 parameter"):
+            DictionarySpec.parse("fourier1d:8,")
+
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.builds(lambda kind, vals: f"{kind}:" + ",".join(vals),
+                  st.sampled_from(["none", "fourier1d", "fourier2d",
+                                   "diffusion1d-fourier", "spherical-harmonics",
+                                   "wavelets"]),
+                  st.lists(st.one_of(st.integers(-3, 10**6).map(str),
+                                     st.sampled_from(["", "a", " 4", "1.5", "-0"])),
+                           max_size=3))))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_yields_a_round_tripping_spec_or_value_error(self, text):
+        # only parse and label: a fuzzed spec may be far too large to build
+        try:
+            spec = DictionarySpec.parse(text)
+        except ValueError:
+            return
+        assert DictionarySpec.parse(spec.label()) == spec
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -147,6 +147,13 @@ class TestBoundary:
         with pytest.raises(ValueError, match="boundary"):
             problems.boundary_value(p, [[0.0, 0.0]])
 
+    @pytest.mark.parametrize("pid,point", [
+        ("poisson2d", [9.99995, 0.0]),   # 5e-5 inside the edge x = 10
+        ("poisson1d", [10.00005])])      # 5e-5 outside the domain
+    def test_point_near_the_boundary_rejected(self, pid, point):
+        with pytest.raises(ValueError, match="boundary"):
+            problems.boundary_value(problems.get(pid), [point])
+
 
 class TestSpecTable:
     def test_defaults_match_published_setups(self):

@@ -10,8 +10,8 @@ from pdpinn.network import (VALUES, MlpConfig, SlotBuffers, SlotLayout,
 from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
                              ground_truth_jet, operator_terms, rhs)
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
-from pdpinn.training import (FORWARD_CHUNK, AdamState, TrainSettings, adam_step,
-                             empirical_bc_loss, empirical_pde_loss,
+from pdpinn.training import (EVAL_SEED, FORWARD_CHUNK, AdamState, TrainSettings,
+                             adam_step, empirical_bc_loss, empirical_pde_loss,
                              net_input_jet, predict_error, predict_values,
                              predictor_fields, predictor_jets, predictor_slots,
                              train)
@@ -159,7 +159,7 @@ class TestPredictError:
         p = problems.get("poisson1d")
         store = small_store(p, p.dictionary, False)
         explicit = predict_error(store, p, p.dictionary, 1000,
-                                 np.random.default_rng(TrainSettings.eval_seed))
+                                 np.random.default_rng(EVAL_SEED))
         assert predict_error(store, p, p.dictionary) == explicit
 
     def test_nonfinite_loss_blames_a_point(self, rng):
@@ -378,7 +378,7 @@ class TestSlotPass:
         s = TrainSettings(iterations=4, hidden_width=8, record_every=4)
         records, store = train(p, p.dictionary, s)
         pts = sample_interior(p, s.n_pred,
-                              np.random.default_rng(s.eval_seed)).points
+                              np.random.default_rng(EVAL_SEED)).points
         F = predictor_jets(store.layers, p, p.dictionary, pts, p.lift)
         assert records[-1].error_predict == float(
             np.mean((F.value - ground_truth(p, pts)) ** 2))
