@@ -18,10 +18,10 @@ import numpy as np
 
 from .dictionaries import DictionarySpec
 from .network import VALUES, SlotLayout
-from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth,
+from .problems import (ProblemSpec, boundary_value, ground_truth,
                        ground_truth_jet, rhs)
 from .sampling import sample_boundary, sample_interior
-from .training import predictor_fields
+from .training import operator_layout, pack_slots, predictor_fields
 
 # sup refinement: local grid points and its radius as a domain fraction
 _REFINE_POINTS = 1000
@@ -294,22 +294,24 @@ def _refine_cloud(center, lo, hi, rng, n: int = _REFINE_POINTS):
 
 def _predictor(store, p: ProblemSpec, dspec: DictionarySpec, lift: bool,
                predictor_fn):
-    """``jets(points, layout) -> Jet2`` of the predictor.
+    """``fields(points, layout)``: the predictor's slots packed by
+    ``layout``, shape (slots, n).
 
     The stored network runs the forward-only slot pass carrying the slots of
-    ``layout`` alone; ``predictor_fn(points) -> Jet2`` ignores the layout.
+    ``layout`` alone; the jets of ``predictor_fn(points) -> Jet2`` are
+    packed the same way.
     """
     if predictor_fn is not None:
-        return lambda points, layout: predictor_fn(points)
+        return lambda points, layout: pack_slots(p, layout, predictor_fn(points),
+                                                 points)
     return lambda points, layout: predictor_fields(store, p, dspec, points,
                                                    lift, layout)
 
 
-def _residual(p: ProblemSpec, jets):
-    """PDE residual at points; the Laplacian reads every d2 slot."""
-    layout = SlotLayout(p.coord_names, d2=p.dim)
-    return lambda points: (apply_operator(p, jets(points, layout), points)
-                           - rhs(p, points))
+def _residual(p: ProblemSpec, fields):
+    """PDE residual at points, read from the operator slot."""
+    layout = operator_layout(p)
+    return lambda points: fields(points, layout)[-1] - rhs(p, points)
 
 
 def _central_gradients(f, h: float = 1e-4):
@@ -340,14 +342,14 @@ def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
     rng = np.random.default_rng(seed)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
-    jets = _predictor(store, p, dspec, lift, predictor_fn)
-    residual = _residual(p, jets)
+    fields = _predictor(store, p, dspec, lift, predictor_fn)
+    residual = _residual(p, fields)
 
     def residual_abs(points):
         return np.abs(residual(points))
 
     def mismatch_abs(points):
-        return np.abs(jets(points, VALUES).value - boundary_value(p, points))
+        return np.abs(fields(points, VALUES)[0] - boundary_value(p, points))
 
     ipts = sample_interior(p, n_interior, rng).points
     res = residual_abs(ipts)
@@ -401,7 +403,7 @@ def tilde_delta(delta: float, lip: float, regularity: float,
     inner = (delta * measure * math.gamma(dim / 2.0 + 1.0)
              / (lip * regularity * math.pi ** (dim / 2.0)))
     second = 2.0 * lip * inner ** (1.0 / (dim + 1.0))
-    return max(first, second)
+    return float(max(first, second))
 
 
 @dataclass
@@ -518,8 +520,8 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     the mean, which replaces the Lipschitz conversion (regularity 1 under
     counting measure).  Warns loudly if either bound is violated.
     """
-    jets = _predictor(store, p, dspec, lift, predictor_fn)
-    residual = _residual(p, jets)
+    fields = _predictor(store, p, dspec, lift, predictor_fn)
+    residual = _residual(p, fields)
     d1_sup, d2_sup, d1_exp, d2_exp = estimate_sup_deltas(
         store, p, dspec, lift, n_interior, n_boundary, seed, predictor_fn)
 
@@ -530,7 +532,7 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
 
     def mismatch_gradients(points):
         # the boundary field is F - u, so its gradient is F' - u'
-        return (jets(points, gradient_layout).d1
+        return (fields(points, gradient_layout)[1:].T
                 - ground_truth_jet(p, points).d1)
 
     lip = max(estimate_lipschitz(mismatch_gradients, lo, hi, seed=seed + 2),
@@ -554,10 +556,10 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     bound_exp = poisson_bound(td1, td2, slab_width)
 
     ipts = sample_interior(p, n_interior, rng).points
-    errs = np.abs(jets(ipts, VALUES).value - ground_truth(p, ipts))
+    errs = np.abs(fields(ipts, VALUES)[0] - ground_truth(p, ipts))
     k = int(np.argmax(errs))
     local = _refine_cloud(ipts[k], lo, hi, rng)
-    local_errs = np.abs(jets(local, VALUES).value - ground_truth(p, local))
+    local_errs = np.abs(fields(local, VALUES)[0] - ground_truth(p, local))
     observed = max(float(errs[k]), float(np.max(local_errs)))
 
     report = BoundReport(
@@ -570,8 +572,8 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
         slab_width=slab_width,
         bound_sup=bound_sup, bound_exp=bound_exp,
         observed_sup_error=observed,
-        sup_bound_holds=observed <= bound_sup,
-        exp_bound_holds=observed <= bound_exp,
+        sup_bound_holds=bool(observed <= bound_sup),
+        exp_bound_holds=bool(observed <= bound_exp),
     )
     if not (report.sup_bound_holds and report.exp_bound_holds):
         warnings.warn(f"error bound violated for {p.id}: observed "

@@ -59,7 +59,8 @@ _NETWORK_FIELDS = ("hidden_layers", "hidden_width")
 def load_config(path) -> ExperimentConfig:
     """Parse an INI experiment file; errors name the offending field.
 
-    ``problem`` and ``dictionary`` are read from [experiment]; any other
+    ``problem`` and ``dictionary`` are read from [experiment] (which
+    inherits them from [DEFAULT]) and rejected in other sections; any other
     field may sit in any section, and its value is parsed with the type of
     the preset's value for that field.
     """
@@ -85,6 +86,10 @@ def load_config(path) -> ExperimentConfig:
         if section not in parser:
             continue
         for key, raw in parser[section].items():
+            if (key in ("problem", "dictionary") and section != "experiment"
+                    and key not in parser.defaults()):
+                raise ValueError(f"{path}: {section}.{key} belongs under "
+                                 "[experiment]")
             if key in ("problem", "dictionary") or key in _RETIRED_FIELDS:
                 continue
             if key not in names:

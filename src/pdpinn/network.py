@@ -86,37 +86,38 @@ def mlp_forward(layers, x: Jet2) -> Jet2:
 class SlotLayout:
     """Which jet slots a slot-major array carries, along its first axis.
 
-    Slot 0 is the value, then one d1 slot per coordinate in ``coords``,
-    then d2 slots for the first ``d2`` coordinates (a d2 slot needs the d1
-    slot of its coordinate).  ``SlotLayout()`` carries values only.
+    Slot 0 is the value, then one d1 slot per coordinate index in ``d1``
+    (every coordinate of ``coords`` when None), then, with ``operator``
+    set, one slot L holding the problem operator applied to the jet.  The
+    operator slot needs the d1 slot of every coordinate the operator
+    differentiates twice.  ``SlotLayout()`` carries values only.
     """
 
-    coords: tuple = ()
-    d2: int = 0
+    coords: tuple = ()            # names of the problem coordinates
+    d1: tuple | None = None
+    operator: bool = False
 
-    def slot(self, order: int, coord: int) -> int:
-        """Index of the d1 (order 1) or d2 (order 2) slot of a coordinate."""
-        return 1 + coord if order == 1 else 1 + len(self.coords) + coord
+    def __post_init__(self):
+        d1 = range(len(self.coords)) if self.d1 is None else self.d1
+        object.__setattr__(self, "d1", tuple(d1))
 
     def name(self, slot: int) -> str:
-        dim = len(self.coords)
         if slot == 0:
             return "value"
-        if slot <= dim:
-            return f"d1[{self.coords[slot - 1]}]"
-        return f"d2[{self.coords[slot - 1 - dim]}]"
+        if slot <= len(self.d1):
+            return f"d1[{self.coords[self.d1[slot - 1]]}]"
+        return "L"
 
-    def pack(self, jet: Jet2) -> np.ndarray:
-        """Slot-major copy of a jet, shape (slots,) + value shape."""
-        return np.concatenate([jet.value[None],
-                               np.moveaxis(jet.d1[..., :len(self.coords)], -1, 0),
-                               np.moveaxis(jet.d2[..., :self.d2], -1, 0)])
-
-    def unpack(self, F: np.ndarray) -> Jet2:
-        """Jet view of predictor slots F (shape (slots, n)); d1 and d2 hold
-        only the coordinates this layout carries."""
-        dim = len(self.coords)
-        return Jet2(F[0], F[1:1 + dim].T, F[1 + dim:].T)
+    def pack(self, jet: Jet2, op: np.ndarray | None = None) -> np.ndarray:
+        """Slot-major copy of a jet, shape (slots,) + value shape; ``op`` is
+        the operator applied to the jet, for the L slot."""
+        out = np.empty((1 + len(self.d1) + self.operator,) + jet.value.shape)
+        out[0] = jet.value
+        for s, k in enumerate(self.d1, 1):
+            out[s] = jet.d1[..., k]
+        if self.operator:
+            out[-1] = op
+        return out
 
 
 VALUES = SlotLayout()
@@ -153,19 +154,24 @@ class SlotPass:
 
     ``x`` is the network input packed by ``layout`` (shape (S, n, fan_in))
     and ``words`` the dictionary words packed the same way, or None for a
-    plain network whose single output is the predictor.  Each affine map is
-    one GEMM on the contiguous (S*n, width) view.  The predictor slots end
-    up in ``F`` (shape (S, n)); ``gradient`` is the hand-written adjoint.
-    With ``retain=False`` the pass keeps no per-layer state and skips the
-    tanh derivatives only the adjoint reads, so ``gradient`` is unavailable.
-    Work arrays come from ``buffers`` (a ``SlotBuffers``), or are allocated
-    afresh when it is None.  Every layer output is checked for NaN/Inf.
+    plain network whose single output is the predictor.  ``coeffs`` holds
+    the operator's second-order coefficient a_k of each d1 slot: None for
+    one, a float, or an (n, 1) array; the L slot propagates through them.
+    Each affine map is one GEMM on the contiguous (S*n, width) view.  The
+    predictor slots end up in ``F`` (shape (S, n)); ``gradient`` is the
+    hand-written adjoint.  With ``retain=False`` the pass keeps no
+    per-layer state and skips the tanh derivatives only the adjoint reads,
+    so ``gradient`` is unavailable.  Work arrays come from ``buffers`` (a
+    ``SlotBuffers``), or are allocated afresh when it is None.  Every layer
+    output is checked for NaN/Inf.
     """
 
     def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
-                 retain: bool = True, buffers: SlotBuffers | None = None):
+                 coeffs=(), retain: bool = True,
+                 buffers: SlotBuffers | None = None):
         _check_fan_in(layers, x.shape[-1])
         self.layers, self.layout, self.words = layers, layout, words
+        self.coeffs = coeffs
         self.retain = retain
         self._take = _fresh if buffers is None else buffers.take
         self.inputs = []                 # the input slots of every layer
@@ -208,9 +214,18 @@ class SlotPass:
             f"non-finite {self.layout.name(slot)} in the output of layer "
             f"{i + 1} of {len(self.layers)}", row=row)
 
+    def _weighted(self, u: np.ndarray, role: str) -> np.ndarray:
+        """a_k u_k over the d1 slots u (u itself when every a_k is one)."""
+        if all(a is None for a in self.coeffs):
+            return u
+        out = self._take(role, u.shape)
+        for k, a in enumerate(self.coeffs):
+            np.multiply(u[k], 1.0 if a is None else a, out=out[k])
+        return out
+
     def _tanh(self, z: np.ndarray, i: int) -> np.ndarray:
-        # tanh_derivs' expressions, in its order, evaluated in place
-        dim, m = len(self.layout.coords), self.layout.d2
+        # h_k = f1 z_k, and h_L = f1 z_L + f2 sum_k a_k z_k^2
+        m, op = len(self.layout.d1), self.layout.operator
         _, n, w = z.shape
 
         def take(role, shape=(n, w)):
@@ -219,10 +234,11 @@ class SlotPass:
         h = take("h", z.shape)
         t = np.tanh(z[0], out=h[0])
         f1 = f2 = f3 = None
-        if dim or self.retain:
+        derivatives = len(z) > 1
+        if derivatives or self.retain:
             f1 = np.multiply(t, t, out=take("f1"))
             np.subtract(1.0, f1, out=f1)
-        if m or self.retain:
+        if op or self.retain:
             f2 = np.multiply(t, -2.0, out=take("f2"))
             f2 *= f1
         if self.retain:
@@ -231,56 +247,65 @@ class SlotPass:
             f3 -= 2.0
             f3 *= f1
             self.hidden.append((z, f1, f2, f3))
-        if dim:
+        if derivatives:
             np.multiply(z[1:], f1, out=h[1:])
-        if m:
+        if op:
             z1 = z[1:1 + m]
-            sq = np.multiply(z1, z1, out=self._take("sq", z1.shape))
+            sq = np.einsum("snw,snw->nw", self._weighted(z1, "az"), z1,
+                           out=self._take("sq", (n, w)))
             sq *= f2
-            h[1 + dim:] += sq
+            h[-1] += sq
         return h
 
     def _tanh_adjoint(self, gh, z, f1, f2, f3) -> np.ndarray:
         """dL/dz from gh = dL/dh, computed in place in gh."""
-        dim, m = len(self.layout.coords), self.layout.d2
-        z1 = z[1:1 + m]
-        q = np.multiply(gh[1 + dim:], z1, out=self._take("q", z1.shape))
+        m, op = len(self.layout.d1), self.layout.operator
         e1 = np.einsum("snw,snw->nw", gh[1:], z[1:],
                        out=self._take("e1", f1.shape))
-        e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f1.shape))
-        gh *= f1
         e1 *= f2
-        e2 *= f3
-        e1 += e2
+        if op:
+            # the L slot reaches z_k through 2 f2 a_k z_k and z_0 through
+            # f3 sum_k a_k z_k^2
+            z1 = z[1:1 + m]
+            q = np.multiply(self._weighted(z1, "az"), gh[-1],
+                            out=self._take("q", z1.shape))
+            e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f1.shape))
+            e2 *= f3
+            e1 += e2
+            q *= np.multiply(f2, 2.0, out=e2)
+        gh *= f1
         gh[0] += e1
-        q *= np.multiply(f2, 2.0, out=e2)
-        gh[1:1 + m] += q
+        if op:
+            gh[1:1 + m] += q
         return gh
 
     def _fuse(self, C: np.ndarray, N: np.ndarray) -> np.ndarray:
-        # the product rule grouped as in the plain jet product; T keeps the
-        # words' memory layout, which fixes the summation order of T.sum
-        dim, m = len(self.layout.coords), self.layout.d2
+        # the product rule, with L<C,N> = <LC,N> + <C,LN>
+        # + 2 sum_k a_k <C_k, N_k>; T keeps the words' memory layout, which
+        # fixes the summation order of T.sum
         T = np.multiply(C, N[0], out=np.empty_like(C))
         T[1:] += np.multiply(C[0], N[1:], out=self._take("cn", N[1:].shape))
-        c2 = np.multiply(C[1:1 + m], N[1:1 + m],
-                         out=self._take("cn2", N[1:1 + m].shape))
-        c2 *= 2.0
-        T[1 + dim:] += c2
+        if self.layout.operator:
+            m = len(self.layout.d1)
+            c2 = np.einsum("snw,snw->nw", self._weighted(C[1:1 + m], "ac"),
+                           N[1:1 + m], out=self._take("cn2", N.shape[1:]))
+            c2 *= 2.0
+            T[-1] += c2
         return T.sum(axis=-1)
 
     def _fuse_adjoint(self, gF: np.ndarray) -> np.ndarray:
         C = self.words
         if C is None:
             return gF[..., None]
-        dim, m = len(self.layout.coords), self.layout.d2
         g = self._take("gnet", self.net.shape)
         np.einsum("sn,snw->nw", gF, C, out=g[0])
         np.multiply(C[0], gF[1:, :, None], out=g[1:])
-        c2 = np.multiply(C[1:1 + m], gF[1 + dim:, :, None],
-                         out=self._take("cn2", g[1:1 + m].shape))
-        c2 *= 2.0
-        g[1:1 + m] += c2
+        if self.layout.operator:
+            m = len(self.layout.d1)
+            c2 = np.multiply(self._weighted(C[1:1 + m], "ac"), gF[-1, :, None],
+                             out=self._take("cn2", g[1:1 + m].shape))
+            c2 *= 2.0
+            g[1:1 + m] += c2
         return g
 
     def gradient(self, gF: np.ndarray) -> np.ndarray:

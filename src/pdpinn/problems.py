@@ -28,7 +28,7 @@ class ProblemSpec:
     Point functions map (n, dim) points to n values and samplers map
     ``(n, rng)`` to points.  A term ``(order, coord, coeff)`` adds coeff
     times the order-th derivative along coord; coeff is None (one), a float
-    or a point function.
+    or a point function.  Each (order, coord) appears at most once.
     """
 
     id: str
@@ -272,8 +272,8 @@ def operator_terms(p: ProblemSpec, points):
     """The operator as a sum of coefficient * (derivative component).
 
     Returns [(order, coordinate, coefficient)] with the coefficient an
-    array, a float, or None for one.  Training reads it to build dL/dF,
-    since the operator is linear in the derivative components.
+    (n,) array, a float, or None for one.  Training reads the second-order
+    coefficients, through which the operator slot propagates.
     """
     pts = _pts(points)
     return [(order, coord, coeff(pts) if callable(coeff) else coeff)
@@ -281,10 +281,16 @@ def operator_terms(p: ProblemSpec, points):
 
 
 def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
-    """Apply the problem operator to predictor jets at the same points."""
+    """Apply the problem operator to jets at the same points.
+
+    ``F.value`` has shape (n,) or (n, ...); a point coefficient multiplies
+    every entry of its point.
+    """
     acc = None
     for order, coord, coeff in operator_terms(p, points):
         term = F.d1[..., coord] if order == 1 else F.d2[..., coord]
+        if np.ndim(coeff):
+            coeff = np.reshape(coeff, coeff.shape + (1,) * (term.ndim - 1))
         if coeff is not None:
             term = term * coeff
         acc = term if acc is None else acc + term

@@ -118,18 +118,48 @@ def predictor_jets(layers, p: ProblemSpec, dspec: DictionarySpec,
     return fuse(eval_dictionary(dspec, points), net)
 
 
+def operator_layout(p: ProblemSpec) -> SlotLayout:
+    """The value, d1 for each coordinate the operator differentiates
+    twice, and the operator slot L."""
+    twice = sorted({coord for order, coord, _ in p.terms if order == 2})
+    return SlotLayout(p.coord_names, d1=tuple(twice), operator=True)
+
+
+def pack_slots(p: ProblemSpec, layout: SlotLayout, jet: Jet2,
+               points: np.ndarray) -> np.ndarray:
+    """``jet`` at points packed by ``layout``; the L slot is the operator
+    applied to it."""
+    op = apply_operator(p, jet, points) if layout.operator else None
+    return layout.pack(jet, op)
+
+
+def _second_order_coeffs(p: ProblemSpec, points: np.ndarray,
+                         layout: SlotLayout) -> tuple:
+    """a_k of each d1 slot of ``layout``, a point coefficient as (n, 1)."""
+    a = {coord: coeff for order, coord, coeff in operator_terms(p, points)
+         if order == 2}
+    if sorted(a) != sorted(layout.d1):
+        raise ValueError("the operator slot needs d1 slots for exactly the "
+                         f"coordinates {sorted(a)}, got {list(layout.d1)}")
+    return tuple(a[k][:, None] if np.ndim(a[k]) == 1 else a[k]
+                 for k in layout.d1)
+
+
 def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
                     lift: bool, layout: SlotLayout):
-    """Network input and dictionary words at points, packed by ``layout``.
+    """``SlotPass`` inputs at points: the network input and the dictionary
+    words packed by ``layout``, and the second-order coefficients.
 
     The words are None without a dictionary; a layout without derivative
     slots gets value-only words.
     """
-    x = layout.pack(net_input_jet(p, points, lift))
+    x = pack_slots(p, layout, net_input_jet(p, points, lift), points)
+    coeffs = _second_order_coeffs(p, points, layout) if layout.operator else ()
     if dspec.kind == "none":
-        return x, None
-    return x, layout.pack(eval_dictionary(dspec, points,
-                                          derivatives=bool(layout.coords)))
+        return x, None, coeffs
+    derivatives = bool(layout.d1) or layout.operator
+    return x, pack_slots(p, layout, eval_dictionary(
+        dspec, points, derivatives=derivatives), points), coeffs
 
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
@@ -148,11 +178,12 @@ def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
 
 
 def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
-                     points: np.ndarray, lift: bool, layout: SlotLayout) -> Jet2:
-    """Predictor jets at points through the forward-only slot pass.
+                     points: np.ndarray, lift: bool,
+                     layout: SlotLayout) -> np.ndarray:
+    """Predictor slots at points, shape (slots, n), through the
+    forward-only slot pass carrying the slots of ``layout``.
 
-    Runs ``FORWARD_CHUNK`` points at a time; d1 and d2 carry only the
-    coordinates ``layout`` carries.
+    Runs ``FORWARD_CHUNK`` points at a time.
     """
     parts = []
     for start in range(0, len(points), FORWARD_CHUNK):
@@ -160,12 +191,12 @@ def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
         parts.append(_slot_pass(store, layout,
                                 predictor_slots(p, dspec, pts, lift, layout),
                                 points, start, retain=False).F)
-    return layout.unpack(np.concatenate(parts, axis=1))
+    return np.concatenate(parts, axis=1)
 
 
 def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                    points: np.ndarray, lift: bool) -> np.ndarray:
-    return predictor_fields(store, p, dspec, points, lift, VALUES).value
+    return predictor_fields(store, p, dspec, points, lift, VALUES)[0]
 
 
 # --------------------------------------------------------------------------
@@ -177,25 +208,19 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                        buffers: SlotBuffers | None = None):
     """Mean squared PDE residual over an interior batch, with gradient.
 
-    The operator is linear in the predictor slots, so dL/dF is 2 r c / n on
-    each slot it reads with coefficient c.  Only the d2 slots up to the
-    last coordinate the operator differentiates twice are carried.  The
-    pass takes its work arrays from ``buffers``, or fresh ones when None.
+    The pass carries the operator slot, so the residual is F_L - q and
+    dL/dF is 2 r / n on that slot alone.  The pass takes its work arrays
+    from ``buffers``, or fresh ones when None.
     """
     if batch.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
     pts = batch.points
-    terms = operator_terms(p, pts)
-    layout = SlotLayout(p.coord_names,
-                        d2=1 + max((c for order, c, _ in terms if order == 2),
-                                   default=-1))
+    layout = operator_layout(p)
     fwd = _slot_pass(store, layout, predictor_slots(p, dspec, pts, lift, layout),
                      pts, buffers=buffers)
-    r = apply_operator(p, layout.unpack(fwd.F), pts) - rhs(p, pts)
-    g = (2.0 / r.size) * r
+    r = fwd.F[-1] - rhs(p, pts)
     gF = np.zeros_like(fwd.F)
-    for order, coord, coeff in terms:
-        gF[layout.slot(order, coord)] += g if coeff is None else g * coeff
+    gF[-1] = (2.0 / r.size) * r
     return float(np.mean(r * r)), fwd.gradient(gF)
 
 

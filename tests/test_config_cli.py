@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdpinn import cli, config, problems, training
+from pdpinn.bounds import BoundReport, verify_bound
 from pdpinn.dictionaries import DictionarySpec
 from pdpinn.network import load_checkpoint
 
@@ -83,6 +84,13 @@ class TestConfigFile:
         cfg = config.load_config(path)
         assert cfg.seed == 3
         assert not hasattr(cfg, "deterministic")
+
+    def test_problem_inherited_from_default_section_loads(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nproblem = poisson2d\n[experiment]\n"
+                        "[training]\nseed = 3\n")
+        cfg = config.load_config(path)
+        assert (cfg.problem, cfg.seed) == ("poisson2d", 3)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
@@ -197,6 +205,21 @@ class TestRunCommand:
         assert f"unknown field training.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section,line", [
+        ("training", "dictionary = none"), ("network", "problem = poisson2d"),
+        ("training", "problem = poisson1d")])
+    def test_experiment_key_elsewhere_exits_2_naming_section_and_key(
+            self, tmp_path, capsys, section, line):
+        key = line.split()[0]
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        f"out_dir = {tmp_path / 'out'}\n[{section}]\n{line}\n")
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert (f"{section}.{key} belongs under [experiment]"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
 
 class TestDumpGrid:
     def test_grid_rows_and_columns(self, tiny_run, tmp_path):
@@ -304,6 +327,20 @@ class TestBoundsCommand:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["sup_bound_holds"] and report["exp_bound_holds"]
+
+    def test_square_report_written_and_read_back(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert cli.main(["run", "--preset", "poisson2d", "--iterations", "3",
+                         "--hidden-width", "6", "--out", str(run)]) == 0
+        out = tmp_path / "report.json"
+        rc = cli.main(["bounds", "--checkpoint", str(run / "model.ckpt"),
+                       "--problem", "poisson2d", "--dictionary", "fourier2d:5,5",
+                       "--out", str(out)])
+        assert rc == 0
+        assert "bound report: poisson2d" in capsys.readouterr().out
+        p = problems.get("poisson2d")
+        want = verify_bound(load_checkpoint(run / "model.ckpt"), p, p.dictionary)
+        assert BoundReport.from_json(out.read_text()) == want
 
     def test_shape_mismatch_exits_2_naming_both_shapes(self, tiny_run, capsys):
         rc = cli.main(["bounds", "--checkpoint", str(tiny_run / "model.ckpt"),

@@ -12,9 +12,9 @@ from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
 from pdpinn.training import (EVAL_SEED, FORWARD_CHUNK, AdamState, TrainSettings,
                              adam_step, empirical_bc_loss, empirical_pde_loss,
-                             net_input_jet, predict_error, predict_values,
-                             predictor_fields, predictor_jets, predictor_slots,
-                             train)
+                             net_input_jet, operator_layout, predict_error,
+                             predict_values, predictor_fields, predictor_jets,
+                             predictor_slots, train)
 
 from conftest import agree, fd_loss_gradient
 
@@ -199,6 +199,20 @@ class TestPredictError:
                 "non-finite d1[x] in the output of layer 2 of 2; "
                 f"batch point {np.array2string(first)}")
 
+    def test_nonfinite_report_names_the_operator_slot(self):
+        # out = A tanh(10 x): at x = 0.3 the value A t and d1 10 A f1 stay
+        # finite while the operator slot 100 A f2 overflows
+        p = problems.get("poisson1d")
+        store = ParamStore([(np.array([[10.0]]), np.zeros(1)),
+                            (np.array([[1e308]]), np.zeros(1))])
+        batch = SampleBatch(np.array([[5.0], [0.3], [-7.0]]), "interior")
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            empirical_pde_loss(store, p, DictionarySpec("none"), batch)
+        assert err.value.row == 1
+        assert str(err.value) == ("non-finite L in the output of layer 2 of 2; "
+                                  "batch point [0.3]")
+
     def test_chunked_pass_names_the_row_of_the_whole_batch(self):
         # d1 of A tanh(10 x) overflows only near x = 0
         p = problems.get("poisson1d")
@@ -291,12 +305,36 @@ class TestSlotPass:
     def test_value_pass_is_bitwise_the_jet_pass(self, pid, model):
         p, dspec, lift, store = published_model(pid, model)
         pts = sample_interior(p, 1000, np.random.default_rng(4)).points
-        x, words = predictor_slots(p, dspec, pts, lift, VALUES)
-        net = SlotPass(store.layers, VALUES, x, words).net[0]
+        net = SlotPass(store.layers, VALUES,
+                       *predictor_slots(p, dspec, pts, lift, VALUES)).net[0]
         assert np.array_equal(
             net, mlp_forward(store.layers, net_input_jet(p, pts, lift)).value)
         assert np.array_equal(predict_values(store, p, dspec, pts, lift),
                               predictor_jets(store.layers, p, dspec, pts, lift).value)
+
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_operator_slot_is_the_operator_on_the_jet_pass(self, pid, model):
+        p, dspec, lift, store = published_model(pid, model)
+        pts = sample_interior(p, 1000, np.random.default_rng(7)).points
+        layout = operator_layout(p)
+        # d1 only where the operator differentiates twice: not t
+        assert layout.d1 == {"diffusion1d": (0,)}.get(pid, tuple(range(p.dim)))
+        F = SlotPass(store.layers, layout,
+                     *predictor_slots(p, dspec, pts, lift, layout)).F
+        jets = predictor_jets(store.layers, p, dspec, pts, lift)
+        want = apply_operator(p, jets, pts)
+        assert F.shape == (2 + len(layout.d1), len(pts))
+        assert np.max(np.abs(F[-1] - want)) <= 1e-12 * np.max(np.abs(want))
+        d1 = jets.d1[:, list(layout.d1)].T
+        assert np.max(np.abs(F[1:-1] - d1)) <= 1e-12 * np.max(np.abs(d1))
+        assert np.array_equal(F[0], jets.value)
+
+    @pytest.mark.parametrize("d1", [(), (0, 1)])
+    def test_operator_slot_needs_d1_for_exactly_the_second_order_terms(self, d1):
+        p = problems.get("diffusion1d")
+        layout = SlotLayout(p.coord_names, d1=d1, operator=True)
+        with pytest.raises(ValueError, match="exactly the coordinates"):
+            predictor_slots(p, p.dictionary, np.zeros((3, 2)), False, layout)
 
     @pytest.mark.parametrize("pid,model", PUBLISHED)
     def test_chunked_forward_pass_is_bitwise_the_whole_batch_pass(self, pid, model):
@@ -304,19 +342,15 @@ class TestSlotPass:
         pts = sample_interior(p, 2 * FORWARD_CHUNK + 333,
                               np.random.default_rng(5)).points
         pool = SlotBuffers()
-        for layout in (VALUES, SlotLayout(p.coord_names),
-                       SlotLayout(p.coord_names, d2=p.dim)):
+        for layout in (VALUES, SlotLayout(p.coord_names), operator_layout(p)):
             slots = predictor_slots(p, dspec, pts, lift, layout)
             F = SlotPass(store.layers, layout, *slots).F
             for _ in range(2):          # the second pass reuses filled arrays
                 pooled = SlotPass(store.layers, layout, *slots, retain=False,
                                   buffers=pool)
                 assert np.array_equal(pooled.F, F)
-            whole = layout.unpack(F)
             chunked = predictor_fields(store, p, dspec, pts, lift, layout)
-            for got, want in zip((chunked.value, chunked.d1, chunked.d2),
-                                 (whole.value, whole.d1, whole.d2)):
-                assert np.array_equal(got, want)
+            assert np.array_equal(chunked, F)
 
     @pytest.mark.parametrize("pid,model", PUBLISHED)
     def test_buffered_training_is_bitwise_the_unbuffered_training(
