@@ -54,6 +54,23 @@ def default_out_dir() -> str:
 _RETIRED_FIELDS = {"deterministic"}
 # the settings written under [network]; every other setting goes to [training]
 _NETWORK_FIELDS = ("hidden_layers", "hidden_width")
+_SETTINGS = frozenset(f.name for f in fields(TrainSettings))
+
+
+def _parse_error(path, e: configparser.Error) -> ValueError:
+    """A malformed file as a ValueError naming the file and the line."""
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        what = f"line {e.lineno}: {e.line.strip()!r} comes before any [section]"
+    elif isinstance(e, configparser.ParsingError):
+        what = "; ".join(f"line {n}: {line} is neither a [section] header "
+                         "nor key = value" for n, line in e.errors)
+    elif isinstance(e, configparser.DuplicateOptionError):
+        what = f"line {e.lineno}: {e.section}.{e.option} is set twice"
+    elif isinstance(e, configparser.DuplicateSectionError):
+        what = f"line {e.lineno}: section [{e.section}] appears twice"
+    else:
+        what = " ".join(str(e).split())
+    return ValueError(f"{path}: {what}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -62,15 +79,25 @@ def load_config(path) -> ExperimentConfig:
     ``problem`` and ``dictionary`` are read from [experiment] (which
     inherits them from [DEFAULT]) and rejected in other sections; any other
     field may sit in any section, and its value is parsed with the type of
-    the preset's value for that field.
+    the preset's value for that field.  Values are taken literally (no
+    ``%`` interpolation), and each setting is validated as it is read.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except configparser.Error as e:
+        raise _parse_error(path, e) from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})") from None
     if not read:
         raise ValueError(f"cannot read config file {path}")
     if "experiment" not in parser or "problem" not in parser["experiment"]:
         raise ValueError(f"{path}: missing experiment.problem")
-    cfg = preset(parser["experiment"]["problem"])
+    try:
+        cfg = preset(parser["experiment"]["problem"])
+    except ValueError as e:
+        raise ValueError(f"{path}: experiment.problem: {e}") from None
 
     exp = parser["experiment"]
     if "dictionary" in exp:
@@ -104,6 +131,11 @@ def load_config(path) -> ExperimentConfig:
                 raise ValueError(
                     f"{path}: invalid value for {section}.{key}: {raw!r}") from None
             setattr(cfg, key, value)
+            if key in _SETTINGS:
+                try:
+                    cfg.settings()
+                except ValueError as e:
+                    raise ValueError(f"{path}: {section}.{key}: {e}") from None
     return cfg
 
 
@@ -120,7 +152,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         section = ("network" if f.name in _NETWORK_FIELDS else
                    "training" if f.name in settings else "experiment")
         sections[section][f.name] = _ini_text(getattr(cfg, f.name))
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

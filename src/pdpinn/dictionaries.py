@@ -1,14 +1,17 @@
 """Prior dictionaries: fixed word functions with exact analytic jets.
 
-Each word is a closed-form function of the problem coordinates, evaluated
-as a ``Jet2`` so the PDE operator can act on the fused predictor.  Words
-never depend on network parameters; they enter training as constants.
+Each word is a closed-form function of the problem coordinates.  A family
+is computed on whole (points, words) arrays, its derivatives as closed-form
+factors of the same sines, cosines and Legendre functions, and returned as
+a ``Jet2`` so the PDE operator can act on the fused predictor.  Words never
+depend on network parameters; they enter training as constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,40 +97,68 @@ class DictionarySpec:
 
 
 # --------------------------------------------------------------------------
-# Word families
+# Word families, in closed form
 # --------------------------------------------------------------------------
+#
+# A family writes point-major words, shape lead + (W,), into ``value`` and
+# their first and second derivatives into ``d1``/``d2``, one array per
+# coordinate along the first axis (shape (dim,) + lead + (W,); None without
+# derivatives).  It writes every entry.  Each derivative is a closed-form
+# factor of the same sines, cosines and Legendre functions as the value.
 
-def eval_fourier1d(k: int, x: Jet2) -> Jet2:
-    """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx]."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    words = [Jet2.const(np.ones_like(x.value), x.dim)]
-    for n in range(1, k + 1):
-        nx = x * float(n)
-        words.append(dg.cos(nx))
-        words.append(dg.sin(nx))
-    return stack_jets(words)
+def _fourier1d(k: int, x: np.ndarray, value, d1, d2) -> None:
+    """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx] of the
+    first coordinate."""
+    n = np.arange(1.0, k + 1)
+    nx = np.multiply.outer(x, n)
+    c, s = np.cos(nx), np.sin(nx)
+    value[..., 0] = 1.0
+    value[..., 1::2] = c
+    value[..., 2::2] = s
+    if d1 is None:
+        return
+    d1[1:] = 0.0
+    d2[1:] = 0.0
+    d1[0][..., 0] = d2[0][..., 0] = 0.0
+    np.multiply(s, -n, out=d1[0][..., 1::2])
+    np.multiply(c, n, out=d1[0][..., 2::2])
+    np.multiply(c, -(n * n), out=d2[0][..., 1::2])
+    np.multiply(s, -(n * n), out=d2[0][..., 2::2])
 
 
-def _sine_family(k: int, u: Jet2):
-    """[1, sin(pi u), sin(2 pi u)/2, ..., sin((k-1) pi u)/(k-1)]."""
-    fam = [Jet2.const(np.ones_like(u.value), u.dim)]
-    for n in range(1, k):
-        fam.append(dg.sin(u * (n * math.pi)) * (1.0 / n))
-    return fam
+def _sine_family(k: int, x: np.ndarray, derivatives: bool) -> np.ndarray:
+    """[1, sin(pi u), sin(2 pi u)/2, ..., sin((k-1) pi u)/(k-1)] at
+    u = (x+10)/20, with its first and second x-derivatives along the
+    first axis: shape (3,) + x.shape + (k,), or (1,) + ... for values."""
+    n = np.arange(1.0, k)
+    w = math.pi * 0.05                 # d(pi u)/dx
+    npu = np.multiply.outer((x + 10.0) * 0.05, n * math.pi)
+    f = np.zeros((3 if derivatives else 1,) + x.shape + (k,))
+    f[0][..., 0] = 1.0
+    s = np.sin(npu)
+    np.divide(s, n, out=f[0][..., 1:])
+    if derivatives:
+        np.multiply(np.cos(npu), w, out=f[1][..., 1:])
+        np.multiply(s, -(w * w) * n, out=f[2][..., 1:])
+    return f
 
 
-def eval_fourier2d(k1: int, k2: int, xhat: Jet2, yhat: Jet2) -> Jet2:
-    """All products of the two sine families on normalized coordinates.
+def _fourier2d(k1: int, k2: int, x: np.ndarray, y: np.ndarray,
+               value, d1, d2) -> None:
+    """All products of the sine families in x and y, x-major."""
+    fx = _sine_family(k1, x, d1 is not None)
+    fy = _sine_family(k2, y, d1 is not None)
+    shape = x.shape + (k1, k2)
 
-    ``xhat``/``yhat`` must already be mapped to [0, 1]; any chain factors
-    from that mapping ride along in their jets.  Word order is x-major.
-    """
-    if k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be >= 1")
-    fx = _sine_family(k1, xhat)
-    fy = _sine_family(k2, yhat)
-    return stack_jets([dg.mul(fa, fb) for fa in fx for fb in fy])
+    def outer(a, b, out):
+        np.multiply(a[..., :, None], b[..., None, :], out=out.reshape(shape))
+
+    outer(fx[0], fy[0], value)
+    if d1 is not None:
+        outer(fx[1], fy[0], d1[0])
+        outer(fx[0], fy[1], d1[1])
+        outer(fx[2], fy[0], d2[0])
+        outer(fx[0], fy[2], d2[1])
 
 
 def lift_sphere(theta: Jet2, phi: Jet2) -> Jet2:
@@ -137,53 +168,54 @@ def lift_sphere(theta: Jet2, phi: Jet2) -> Jet2:
     return stack_jets([dg.mul(st, sp), dg.mul(st, cp), ct])
 
 
-def assoc_legendre(l: int, m: int, t):
-    """Associated Legendre P_l^m without the Condon-Shortley phase.
+def legendre_table(l_max: int, t, derivatives: bool = True) -> np.ndarray:
+    """Associated Legendre P_l^m(t), without the Condon-Shortley phase, for
+    0 <= m <= l <= l_max.
 
-    Returns (value, d/dt, d2/dt2) for scalar or array ``t`` in [-1, 1].
-    Stable upward recurrence in degree, with the derivative recurrences
-    obtained by differentiating each step.
+    Returns shape (3,) + t.shape + (l_max+1, l_max+1): P_l^m at [0, ..., l,
+    m] and its first and second t-derivatives at [1] and [2] (only [0]
+    without ``derivatives``); entries with m > l are zero.  The stable
+    upward recurrence in degree runs once, over every order at a time,
+    differentiated term by term.
     """
-    if not 0 <= m <= l:
-        raise ValueError("need 0 <= m <= l")
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
     t = np.asarray(t, dtype=np.float64)
     if np.any(np.abs(t) > 1.0):
-        raise dg.JetDomainError("assoc_legendre requires |t| <= 1")
+        raise dg.JetDomainError("legendre_table requires |t| <= 1")
+    L, K = l_max + 1, 3 if derivatives else 1
+    P = np.zeros((K,) + t.shape + (L, L))
+    tm = t[..., None]
+    # d^j/dt^j (t f) = t f^(j) + j f^(j-1), for the j of each jet row
+    order = np.arange(1.0, K).reshape((-1,) + (1,) * tm.ndim)
 
-    s2 = 1.0 - t * t                       # sin^2(theta) when t = cos(theta)
-    # Seed P_m^m = (2m-1)!! (1-t^2)^{m/2} and its two t-derivatives.
-    dfact = float(math.prod(range(1, 2 * m, 2))) if m > 0 else 1.0
-    if m == 0:
-        p = np.ones_like(t) * dfact
-        dp = np.zeros_like(t)
-        d2p = np.zeros_like(t)
-    else:
-        half = s2 ** (0.5 * m)
-        p = dfact * half
-        # d/dt (1-t^2)^{m/2} = -m t (1-t^2)^{m/2-1}
-        dp = -dfact * m * t * s2 ** (0.5 * m - 1.0)
-        d2p = -dfact * m * (s2 ** (0.5 * m - 1.0)
-                            - (m - 2.0) * t * t * s2 ** (0.5 * m - 2.0))
-    if l == m:
-        return p, dp, d2p
+    def times_t(f):
+        out = tm * f
+        out[1:] += order * f[:-1]
+        return out
 
-    # P_{m+1}^m = (2m+1) t P_m^m
-    c = 2 * m + 1
-    q, dq, d2q = c * t * p, c * (p + t * dp), c * (2.0 * dp + t * d2p)
-    if l == m + 1:
-        return q, dq, d2q
-
-    pm2, dpm2, d2pm2 = p, dp, d2p
-    pm1, dpm1, d2pm1 = q, dq, d2q
-    for n in range(m + 2, l + 1):
-        a = (2.0 * n - 1.0) / (n - m)
-        bcoef = (n + m - 1.0) / (n - m)
-        pn = a * t * pm1 - bcoef * pm2
-        dpn = a * (pm1 + t * dpm1) - bcoef * dpm2
-        d2pn = a * (2.0 * dpm1 + t * d2pm1) - bcoef * d2pm2
-        pm2, dpm2, d2pm2 = pm1, dpm1, d2pm1
-        pm1, dpm1, d2pm1 = pn, dpn, d2pn
-    return pm1, dpm1, d2pm1
+    # P_m^m = (2m-1)!! (1-t^2)^{m/2}; the m = 0 entry is 1
+    P[0][..., 0, 0] = 1.0
+    if L > 1:
+        m = np.arange(1.0, L)
+        dfact = np.cumprod(2.0 * m - 1.0)
+        s2 = (1.0 - t * t)[..., None]
+        diag = np.arange(1, L)
+        P[0][..., diag, diag] = dfact * s2 ** (0.5 * m)
+        if derivatives:
+            P[1][..., diag, diag] = -dfact * m * tm * s2 ** (0.5 * m - 1.0)
+            P[2][..., diag, diag] = -dfact * m * (
+                s2 ** (0.5 * m - 1.0) - (m - 2.0) * tm * tm * s2 ** (0.5 * m - 2.0))
+        # P_{m+1}^m = (2m+1) t P_m^m
+        below = np.arange(L - 1)
+        P[..., below + 1, below] = (2.0 * below + 1.0) * times_t(
+            P[..., below, below])
+    # (l - m) P_l^m = (2l - 1) t P_{l-1}^m - (l + m - 1) P_{l-2}^m
+    for l in range(2, L):
+        m = np.arange(l - 1.0)
+        P[..., l, :l - 1] = ((2.0 * l - 1.0) / (l - m) * times_t(P[..., l - 1, :l - 1])
+                             - (l + m - 1.0) / (l - m) * P[..., l - 2, :l - 1])
+    return P
 
 
 def _sh_norm(l: int, m: int) -> float:
@@ -193,30 +225,44 @@ def _sh_norm(l: int, m: int) -> float:
     return c * math.sqrt(2.0) if m != 0 else c
 
 
-def eval_spherical_harmonics(l_max: int, theta: Jet2, phi: Jet2) -> Jet2:
-    """Real orthonormal spherical-harmonic words, degrees 0..l_max.
+@lru_cache(maxsize=None)
+def _sh_index(l_max: int):
+    """Per word l*l + l + m: its degree l, order |m|, signed order m and
+    normalisation constant."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.concatenate([np.arange(-d, d + 1) for d in range(l_max + 1)])
+    norm = np.array([_sh_norm(a, b) for a, b in zip(l, m)])
+    index = (l, np.abs(m), m.astype(np.float64), norm)
+    for a in index:
+        a.flags.writeable = False         # shared by every call
+    return index
 
-    Index order is (l, m) with m running -l..l inside each degree; the word
-    at l=0 is the constant 1/sqrt(4 pi).  Polar factors chain through
-    t = cos(theta) using the Legendre derivative recurrences, so the jets
-    in theta and phi are exact.
+
+def _spherical_harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray,
+                         value, d1, d2) -> None:
+    """Real orthonormal spherical harmonics, degrees 0..l_max.
+
+    Word l*l + l + m is N P_l^|m|(cos theta) times cos(m phi) for m > 0,
+    sin(|m| phi) for m < 0 and 1 for m = 0, so the word at l=0 is the
+    constant 1/sqrt(4 pi).  Polar derivatives chain through t = cos(theta).
     """
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
-    ct = dg.cos(theta)
-    words = []
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            am = abs(m)
-            p, dp, d2p = assoc_legendre(l, am, ct.value)
-            polar = dg.chain_univariate(ct, p, dp, d2p)
-            if m == 0:
-                words.append(polar * _sh_norm(l, 0))
-            elif m > 0:
-                words.append(dg.mul(dg.cos(phi * float(m)), polar) * _sh_norm(l, m))
-            else:
-                words.append(dg.mul(dg.sin(phi * float(am)), polar) * _sh_norm(l, m))
-    return stack_jets(words)
+    derivatives = d1 is not None
+    l, am, m, norm = _sh_index(l_max)
+    ct = np.cos(theta)
+    P = legendre_table(l_max, ct, derivatives)[..., l, am]
+    mp = phi[..., None] * m
+    cm, sm = np.cos(mp), np.sin(mp)
+    # cos(m phi) for m >= 0 (1 at m = 0) and sin(|m| phi) for m < 0
+    naz = norm * np.where(m >= 0, cm, -sm)
+    np.multiply(naz, P[0], out=value)
+    if not derivatives:
+        return
+    st, ct = np.sin(theta)[..., None], ct[..., None]
+    np.multiply(naz, -st * P[1], out=d1[0])
+    np.multiply(naz, st * st * P[2] - ct * P[1], out=d2[0])
+    # d/dphi: -m sin(m phi) for m >= 0 and |m| cos(|m| phi) for m < 0
+    np.multiply(norm * np.where(m >= 0, -m * sm, -m * cm), P[0], out=d1[1])
+    np.multiply(value, -(m * m), out=d2[1])
 
 
 def fuse(dict_jets: Jet2, net_jets: Jet2) -> Jet2:
@@ -232,22 +278,29 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
                     derivatives: bool = True) -> Jet2:
     """Evaluate the word family at raw problem coordinates.
 
-    Jets are taken with respect to the raw coordinates; normalization of
-    the 2-D Fourier family (xhat = (x+10)/20) happens here so its chain
-    factors are part of the word jets.  With ``derivatives=False`` the same
-    family code runs on jets whose derivative axis is empty, so only the
-    values are computed.
+    Points have shape lead + (dim,); the words come back as a ``Jet2`` with
+    value shape lead + (W,) and derivatives with respect to the raw
+    coordinates (the 2-D Fourier family maps to xhat = (x+10)/20 here and
+    carries the chain factor).  Each family is computed in closed form on
+    whole arrays, vectorised over the word index.  With
+    ``derivatives=False`` only the values are computed and the derivative
+    axis is empty.
     """
-    x = Jet2.seed(points) if derivatives else Jet2.const(points, 0)
+    pts = np.asarray(points, dtype=np.float64)
+    dim = pts.shape[-1] if derivatives else 0
+    value = np.empty(pts.shape[:-1] + (spec.word_count,))
+    d1 = np.empty((dim,) + value.shape)
+    d2 = np.empty((dim,) + value.shape)
+    jets = (d1, d2) if derivatives else (None, None)
+    x = pts[..., 0]
     if spec.kind == "none":
-        return stack_jets([Jet2.const(np.ones(points.shape[:-1]), x.dim)])
-    if spec.kind == "fourier1d":
-        return eval_fourier1d(spec.k, x.component(0))
-    if spec.kind == "diffusion1d-fourier":
-        # Words depend on x only; t-derivatives are identically zero.
-        return eval_fourier1d(spec.k, x.component(0))
-    if spec.kind == "fourier2d":
-        xhat = (x.component(0) + 10.0) * 0.05
-        yhat = (x.component(1) + 10.0) * 0.05
-        return eval_fourier2d(spec.k1, spec.k2, xhat, yhat)
-    return eval_spherical_harmonics(spec.l_max, x.component(0), x.component(1))
+        value[...] = 1.0
+        d1[...] = d2[...] = 0.0
+    elif spec.kind in ("fourier1d", "diffusion1d-fourier"):
+        # diffusion1d words depend on x only; t-derivatives are zero
+        _fourier1d(spec.k, x, value, *jets)
+    elif spec.kind == "fourier2d":
+        _fourier2d(spec.k1, spec.k2, x, pts[..., 1], value, *jets)
+    else:
+        _spherical_harmonics(spec.l_max, x, pts[..., 1], value, *jets)
+    return Jet2(value, np.moveaxis(d1, 0, -1), np.moveaxis(d2, 0, -1))

@@ -124,18 +124,22 @@ VALUES = SlotLayout()
 
 
 class SlotBuffers:
-    """Work arrays that successive slot passes reuse.
+    """Work arrays that successive slot passes reuse, and the last inputs
+    of each pass role.
 
     ``take(role, shape)`` returns the same uninitialised float64 array
     every time it is asked for a role and shape, so a loop over fixed-size
     batches maps its jet pages once instead of on every pass.  The arrays
     of a pass (its ``net``, and ``F`` of a plain network) hold only until
     the next pass on the same buffers; ``SlotPass.gradient`` always returns
-    a fresh array.
+    a fresh array.  ``memo`` keeps one built input per role.  A pool serves
+    one run, so each role always means the same problem, dictionary and
+    slot layout.
     """
 
     def __init__(self):
         self.arrays = {}
+        self.memos = {}
 
     def take(self, role, shape) -> np.ndarray:
         key = (role, tuple(shape))
@@ -143,6 +147,29 @@ class SlotBuffers:
         if a is None:
             a = self.arrays[key] = np.empty(shape)
         return a
+
+    def memo(self, role, points: np.ndarray, build):
+        """``build()``, reused while ``role`` is asked for at points equal
+        (``np.array_equal``) to those of its last build.
+
+        The arrays of the result are made read-only, since every later
+        pass of the role reads them.
+        """
+        last = self.memos.get(role)
+        if last is not None and np.array_equal(last[0], points):
+            return last[1]
+        built = build()
+        _freeze(built)
+        self.memos[role] = (np.array(points), built)
+        return built
+
+
+def _freeze(value) -> None:
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            _freeze(v)
 
 
 def _fresh(role, shape) -> np.ndarray:
@@ -238,14 +265,17 @@ class SlotPass:
         if derivatives or self.retain:
             f1 = np.multiply(t, t, out=take("f1"))
             np.subtract(1.0, f1, out=f1)
-        if op or self.retain:
+        # the adjoint reaches f2 through the derivative slots and f3
+        # through L alone, so a value-only pass needs neither
+        if op or (derivatives and self.retain):
             f2 = np.multiply(t, -2.0, out=take("f2"))
             f2 *= f1
-        if self.retain:
+        if op and self.retain:
             f3 = np.multiply(t, 6.0, out=take("f3"))
             f3 *= t
             f3 -= 2.0
             f3 *= f1
+        if self.retain:
             self.hidden.append((z, f1, f2, f3))
         if derivatives:
             np.multiply(z[1:], f1, out=h[1:])
@@ -260,6 +290,10 @@ class SlotPass:
     def _tanh_adjoint(self, gh, z, f1, f2, f3) -> np.ndarray:
         """dL/dz from gh = dL/dh, computed in place in gh."""
         m, op = len(self.layout.d1), self.layout.operator
+        if len(gh) == 1:
+            # value slot alone: dL/dz = f1 dL/dh
+            gh *= f1
+            return gh
         e1 = np.einsum("snw,snw->nw", gh[1:], z[1:],
                        out=self._take("e1", f1.shape))
         e1 *= f2

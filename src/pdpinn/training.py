@@ -162,6 +162,17 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
         dspec, points, derivatives=derivatives), points), coeffs
 
 
+def _pass_inputs(role: str, p: ProblemSpec, dspec: DictionarySpec,
+                 points: np.ndarray, lift: bool, layout: SlotLayout,
+                 buffers: SlotBuffers | None):
+    """``predictor_slots`` for one pass role; with a pool, built again only
+    when the role's points change."""
+    if buffers is None:
+        return predictor_slots(p, dspec, points, lift, layout)
+    return buffers.memo(role, points, lambda: predictor_slots(
+        p, dspec, points, lift, layout))
+
+
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
                points: np.ndarray, start: int = 0,
                retain: bool = True,
@@ -210,13 +221,15 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 
     The pass carries the operator slot, so the residual is F_L - q and
     dL/dF is 2 r / n on that slot alone.  The pass takes its work arrays
-    from ``buffers``, or fresh ones when None.
+    from ``buffers``, or fresh ones when None; a pool also keeps the words
+    and network input of the last batch, reused while the points repeat.
     """
     if batch.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
     pts = batch.points
     layout = operator_layout(p)
-    fwd = _slot_pass(store, layout, predictor_slots(p, dspec, pts, lift, layout),
+    fwd = _slot_pass(store, layout,
+                     _pass_inputs("pde", p, dspec, pts, lift, layout, buffers),
                      pts, buffers=buffers)
     r = fwd.F[-1] - rhs(p, pts)
     gF = np.zeros_like(fwd.F)
@@ -230,12 +243,15 @@ def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
     """Mean squared boundary mismatch over a boundary batch, with gradient.
 
     Only values enter, so the pass carries the value slot alone.  The pass
-    takes its work arrays from ``buffers``, or fresh ones when None.
+    takes its work arrays from ``buffers``, or fresh ones when None; a pool
+    also keeps the inputs of the last batch, reused while the points repeat
+    (the fixed boundary points of poisson1d and sphere).
     """
     if batch.region != "boundary":
         raise ValueError("BC loss needs a boundary batch")
     pts = batch.points
-    fwd = _slot_pass(store, VALUES, predictor_slots(p, dspec, pts, lift, VALUES),
+    fwd = _slot_pass(store, VALUES,
+                     _pass_inputs("bc", p, dspec, pts, lift, VALUES, buffers),
                      pts, buffers=buffers)
     m = fwd.F[0] - boundary_value(p, pts)
     return float(np.mean(m * m)), fwd.gradient((2.0 / m.size) * m[None])
@@ -286,7 +302,9 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
     fixed order here, so every run is bit-reproducible for a given seed.
     One ``SlotBuffers`` serves every pass of the run, so fixed-size batches
-    reuse the same work arrays from one iteration to the next.
+    reuse the same work arrays from one iteration to the next, and a batch
+    whose points repeat (a fixed boundary, or ``fresh_batches=False``)
+    reuses its words and network input.
     """
     if lift is None:
         lift = p.lift and dspec.kind != "none"

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from pdpinn import bounds, problems, training
-from pdpinn.dictionaries import (DictionarySpec, eval_dictionary,
-                                 eval_fourier1d, eval_spherical_harmonics, fuse)
+from pdpinn.dictionaries import DictionarySpec, eval_dictionary, fuse
 from pdpinn.diffgraph import Jet2
 from pdpinn.network import MlpConfig, init_mlp
 from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
@@ -203,15 +202,14 @@ def test_criterion_7_property_suite():
     # dictionary Gram orthogonality by quadrature
     n = 10_000
     xs = np.linspace(-np.pi, np.pi, n, endpoint=False) + np.pi / n
-    words = eval_fourier1d(8, Jet2.seed(xs[:, None]).component(0)).value
+    words = eval_dictionary(DictionarySpec("fourier1d", k=8), xs[:, None]).value
     gram = words.T @ words * (2.0 * np.pi / n)
     assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-6
 
     # spherical harmonic eigenvalues under the sphere operator
     p = problems.get("sphere")
     pts = sample_interior(p, 100, rng).points
-    x = Jet2.seed(pts)
-    sph = eval_spherical_harmonics(3, x.component(0), x.component(1))
+    sph = eval_dictionary(DictionarySpec("spherical-harmonics", l_max=3), pts)
     i = 0
     for l in range(4):
         for _ in range(2 * l + 1):
@@ -224,7 +222,7 @@ def test_criterion_7_property_suite():
 
     # fuse bilinearity
     qpts = rng.uniform(-3, 3, size=(20, 1))
-    dwords = eval_fourier1d(3, Jet2.seed(qpts).component(0))
+    dwords = eval_dictionary(DictionarySpec("fourier1d", k=3), qpts)
     n1 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(20, 7, 1)),
               rng.normal(size=(20, 7, 1)))
     n2 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(20, 7, 1)),

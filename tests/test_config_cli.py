@@ -1,10 +1,15 @@
 import configparser
+import contextlib
+import io
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pdpinn import cli, config, problems, training
 from pdpinn.bounds import BoundReport, verify_bound
@@ -108,6 +113,97 @@ class TestConfigFile:
             parser.read(path)
             return {(s, k) for s in parser.sections() for k in parser[s]}
         assert keys(example) == keys(saved)
+
+
+def run_exit_code(path):
+    """``pdpinn run --config path``'s exit status and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["run", "--config", str(path)])
+    return rc, err.getvalue()
+
+
+# the field names, the sections and values a config file may hold
+FIELD_NAMES = [f.name for f in fields(config.ExperimentConfig)] + ["deterministic"]
+SECTIONS = ["experiment", "network", "training", "DEFAULT"]
+VALUES = ["poisson1d", "sphere", "fourier1d:3", "none", "true", "no", "0", "-1",
+          "7", "1e-3", "nan", "inf", "", "runs%x", "%(seed)s", "fourier2d:2,"]
+# no surrogates: the file is written as UTF-8
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=16)
+LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.one_of(st.sampled_from(FIELD_NAMES), TEXT),
+              st.one_of(st.sampled_from(VALUES), TEXT)),
+    st.builds("[{}]".format, st.one_of(st.sampled_from(SECTIONS), TEXT)),
+    TEXT)
+CONFIG_TEXT = st.builds(
+    lambda head, body: "\n".join(head + body),
+    st.sampled_from([[], ["[experiment]", "problem = poisson1d"],
+                     ["[experiment]", "problem = sphere", "[training]"]]),
+    st.lists(LINES, max_size=10))
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nproblem = poisson1d\n[training]\nseed = 1\nseed = 2\n",
+         "line 5: training.seed is set twice"),
+        ("[experiment]\nproblem = poisson1d\n[training]\nseed = 1\n"
+         "[training]\nseed = 2\n", "line 5: section [training] appears twice"),
+        ("seed = 1\n[experiment]\nproblem = poisson1d\n",
+         "line 1: 'seed = 1' comes before any [section]"),
+        ("[experiment]\nproblem = poisson1d\nfresh batches\n",
+         "line 3: 'fresh batches\\n' is neither a [section] header nor key = value"),
+    ])
+    def test_parse_error_exits_2_naming_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            config.load_config(path)
+        assert str(info.value) == f"{path}: {message}"
+        rc, err = run_exit_code(path)
+        assert (rc, err) == (2, f"error: {path}: {message}\n")
+
+    def test_percent_sign_is_a_literal_and_round_trips(self, tmp_path):
+        path = tmp_path / "pct.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        "out_dir = runs%x/%(seed)s\n")
+        cfg = config.load_config(path)
+        assert cfg.out_dir == "runs%x/%(seed)s"
+        config.save_config(cfg, tmp_path / "saved.ini")
+        assert config.load_config(tmp_path / "saved.ini") == cfg
+
+    def test_invalid_setting_names_section_and_key_at_load(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        "[network]\nhidden_width = 0\n")
+        with pytest.raises(ValueError,
+                           match="network.hidden_width: hidden_width must be >= 1"):
+            config.load_config(path)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[experiment]\nproblem = poisson1d\nout_dir = \xff\n")
+        rc, err = run_exit_code(path)
+        assert rc == 2 and f"{path}: not UTF-8 text" in err
+
+    @given(text=CONFIG_TEXT)
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_file_loads_or_names_the_line_or_the_field(self, tmp_path, text):
+        path = tmp_path / "fuzz.ini"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = config.load_config(path)
+        except ValueError as e:
+            message = str(e)
+        else:
+            cfg.settings()              # a loaded file holds valid settings
+            return
+        assert message.startswith(f"{path}: ")
+        assert re.search(r"line \d+|(experiment|network|training)\.\S",
+                         message[len(str(path)) + 2:]), message
+        # the CLI reports the same message and exits 2 before training
+        assert run_exit_code(path) == (2, f"error: {message}\n")
 
 
 @pytest.fixture(scope="module")

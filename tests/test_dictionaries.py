@@ -8,15 +8,31 @@ from hypothesis import strategies as st
 from pdpinn import diffgraph as dg
 from pdpinn import problems
 from pdpinn.diffgraph import Jet2, JetDomainError
-from pdpinn.dictionaries import (DictionarySpec, assoc_legendre, eval_dictionary,
-                                 eval_fourier1d, eval_fourier2d,
-                                 eval_spherical_harmonics, fuse, lift_sphere)
+from pdpinn.dictionaries import (DictionarySpec, eval_dictionary, fuse,
+                                 legendre_table, lift_sphere)
+from pdpinn.training import operator_layout, pack_slots
 
 from conftest import agree, fd_jet
+import word_oracle
 
 
 def seed2(pts):
     return Jet2.seed(np.asarray(pts, dtype=np.float64))
+
+
+def fourier1d(k, pts):
+    return eval_dictionary(DictionarySpec("fourier1d", k=k),
+                           np.asarray(pts, dtype=np.float64))
+
+
+def fourier2d(k1, k2, pts):
+    return eval_dictionary(DictionarySpec("fourier2d", k1=k1, k2=k2),
+                           np.asarray(pts, dtype=np.float64))
+
+
+def harmonics(l_max, pts):
+    return eval_dictionary(DictionarySpec("spherical-harmonics", l_max=l_max),
+                           np.asarray(pts, dtype=np.float64))
 
 
 class TestValueOnlyWords:
@@ -29,6 +45,68 @@ class TestValueOnlyWords:
         assert words.d1.shape[-1] == words.d2.shape[-1] == 0
         assert np.array_equal(words.value,
                               eval_dictionary(p.dictionary, pts).value)
+
+
+def edge_and_interior_points(p, rng, n=200):
+    """Uniform points in the box of ``p`` plus every corner and the middle
+    of every edge; the sphere's box stops POLE_EPS short of the poles."""
+    lo, hi = np.array(p.lo), np.array(p.hi)
+    corners = np.array(np.meshgrid(*zip(lo, hi), indexing="ij")).reshape(p.dim, -1).T
+    mids = []
+    for k in range(p.dim):
+        for side in (lo[k], hi[k]):
+            q = (lo + hi) / 2.0
+            q[k] = side
+            mids.append(q)
+    return np.vstack([corners, mids, rng.uniform(lo, hi, size=(n, p.dim))])
+
+
+class TestClosedFormParity:
+    """The closed-form words against the ``Jet2``-composed families."""
+
+    @staticmethod
+    def close(got, want):
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("pid", sorted(problems.PROBLEMS))
+    @pytest.mark.parametrize("derivatives", [True, False])
+    def test_words_match_the_jet2_families(self, pid, derivatives, rng):
+        p = problems.get(pid)
+        pts = edge_and_interior_points(p, rng)
+        got = eval_dictionary(p.dictionary, pts, derivatives=derivatives)
+        want = word_oracle.reference_dictionary(p.dictionary, pts, derivatives)
+        self.close(got.value, want.value)
+        assert got.d1.shape == got.d2.shape == want.d1.shape
+        for k in range(got.d1.shape[-1]):
+            self.close(got.d1[..., k], want.d1[..., k])
+            self.close(got.d2[..., k], want.d2[..., k])
+
+    @pytest.mark.parametrize("pid", sorted(problems.PROBLEMS))
+    def test_packed_operator_slots_match(self, pid, rng):
+        p = problems.get(pid)
+        pts = edge_and_interior_points(p, rng)
+        layout = operator_layout(p)
+        got = pack_slots(p, layout, eval_dictionary(p.dictionary, pts), pts)
+        want = pack_slots(p, layout, word_oracle.reference_dictionary(
+            p.dictionary, pts), pts)
+        for s in range(len(got)):
+            self.close(got[s], want[s])
+
+    @pytest.mark.parametrize("spec", ["none", "fourier1d:3", "fourier2d:2,4",
+                                      "diffusion1d-fourier:2",
+                                      "spherical-harmonics:0",
+                                      "spherical-harmonics:5"])
+    def test_other_sizes_and_point_shapes(self, spec, rng):
+        dspec = DictionarySpec.parse(spec)
+        dim = 1 if dspec.kind == "fourier1d" else 2
+        pts = rng.uniform(0.1, 3.0, size=(3, 4, dim))
+        got = eval_dictionary(dspec, pts)
+        want = word_oracle.reference_dictionary(dspec, pts)
+        assert got.value.shape == (3, 4, dspec.word_count)
+        for name in ("value", "d1", "d2"):
+            self.close(getattr(got, name), getattr(want, name))
 
 
 class TestSpec:
@@ -91,25 +169,24 @@ class TestSpec:
 
 class TestFourier1d:
     def test_values_at_origin(self):
-        words = eval_fourier1d(2, seed2([[0.0]]).component(0))
+        words = fourier1d(2, [[0.0]])
         assert np.allclose(words.value[0], [1.0, 1.0, 0.0, 1.0, 0.0])
 
     def test_second_derivative_of_sin2x(self):
-        x = seed2([[np.pi / 4]]).component(0)
-        words = eval_fourier1d(2, x)
+        words = fourier1d(2, [[np.pi / 4]])
         assert words.d2[0, 4, 0] == pytest.approx(-4.0, rel=1e-12)
 
     def test_word_count_k8(self):
-        words = eval_fourier1d(8, seed2([[0.3]]).component(0))
+        words = fourier1d(8, [[0.3]])
         assert words.value.shape[-1] == 17
 
     def test_jets_match_finite_differences(self, rng):
         pts = rng.uniform(-10, 10, size=(50, 1))
 
         def values(q):
-            return eval_fourier1d(5, seed2(q).component(0)).value
+            return fourier1d(5, q).value
 
-        jet = eval_fourier1d(5, seed2(pts).component(0))
+        jet = fourier1d(5, pts)
         for j in range(11):
             d1, d2 = fd_jet(lambda q, j=j: values(q)[:, j], pts)
             assert agree(jet.d1[:, j, :], d1, 1e-5)
@@ -119,7 +196,7 @@ class TestFourier1d:
         # trapezoid quadrature on the periodic interval is effectively exact
         n = 10_000
         xs = np.linspace(-np.pi, np.pi, n, endpoint=False) + np.pi / n
-        words = eval_fourier1d(8, seed2(xs[:, None]).component(0)).value
+        words = fourier1d(8, xs[:, None]).value
         gram = words.T @ words * (2.0 * np.pi / n)
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-6
@@ -127,24 +204,23 @@ class TestFourier1d:
 
 class TestFourier2d:
     def test_word_count(self):
-        x = seed2([[0.3, 0.4]])
-        words = eval_fourier2d(5, 5, x.component(0), x.component(1))
+        words = fourier2d(5, 5, [[0.3, 0.4]])
         assert words.value.shape[-1] == 25
 
     def test_only_constant_survives_at_corner(self):
-        x = seed2([[0.0, 0.0]])
-        words = eval_fourier2d(5, 5, x.component(0), x.component(1))
+        words = fourier2d(5, 5, [[-10.0, -10.0]])
         vals = words.value[0]
         assert vals[0] == pytest.approx(1.0)
         assert np.max(np.abs(vals[1:])) < 1e-15
 
     def test_scaled_sine_word(self):
-        # the word sin(2 pi u)/2 at u = 1/4: value 1/2, d2 = -(2 pi)^2 / 2
-        x = seed2([[0.25, 0.1]])
-        words = eval_fourier2d(3, 1, x.component(0), x.component(1))
+        # the word sin(2 pi u)/2 at u = (x+10)/20 = 1/4: value 1/2,
+        # d2 = -(2 pi)^2 / 2 in u, times (du/dx)^2 = 1/400 in x
+        words = fourier2d(3, 1, [[-5.0, -8.0]])
         w = words.component(2)      # families are [1, sin(pi u), sin(2 pi u)/2]
         assert w.value[0] == pytest.approx(0.5)
-        assert w.d2[0, 0] == pytest.approx(-2.0 * np.pi ** 2, rel=1e-12)
+        assert w.d1[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert w.d2[0, 0] == pytest.approx(-2.0 * np.pi ** 2 / 400.0, rel=1e-12)
 
     def test_dictionary_normalizes_raw_coordinates(self, rng):
         spec = DictionarySpec("fourier2d", k1=5, k2=5)
@@ -198,47 +274,60 @@ class TestLift:
 class TestAssocLegendre:
     def test_degree_zero_is_one(self, rng):
         t = rng.uniform(-1, 1, size=20)
-        p, dp, d2p = assoc_legendre(0, 0, t)
+        p, dp, d2p = legendre_table(0, t)[..., 0, 0]
         assert np.all(p == 1.0)
         assert np.all(dp == 0.0)
         assert np.all(d2p == 0.0)
 
     def test_degree_one_closed_forms(self):
         t = np.array([-0.7, 0.0, 0.4])
-        p, dp, _ = assoc_legendre(1, 0, t)
+        p, dp, _ = legendre_table(1, t)[..., 1, 0]
         assert np.allclose(p, t)
         assert np.allclose(dp, 1.0)
-        p11, _, _ = assoc_legendre(1, 1, np.array([0.0]))
-        assert p11[0] == pytest.approx(1.0)
+        assert legendre_table(1, np.array([0.0]))[0, 0, 1, 1] == pytest.approx(1.0)
 
     def test_p32_against_closed_form(self):
         # P_3^2(t) = 15 t (1 - t^2)
-        p, dp, d2p = assoc_legendre(3, 2, np.array([0.5]))
-        assert p[0] == pytest.approx(5.625)
-        assert dp[0] == pytest.approx(15.0 * (1.0 - 3.0 * 0.25))
-        assert d2p[0] == pytest.approx(-90.0 * 0.5)
+        p, dp, d2p = legendre_table(3, np.array([0.5]))[:, 0, 3, 2]
+        assert p == pytest.approx(5.625)
+        assert dp == pytest.approx(15.0 * (1.0 - 3.0 * 0.25))
+        assert d2p == pytest.approx(-90.0 * 0.5)
 
     def test_derivatives_match_finite_differences(self, rng):
         t = rng.uniform(-0.9, 0.9, size=(40, 1))
+        table = legendre_table(4, t[:, 0])
         for l in range(5):
             for m in range(l + 1):
-                p, dp, d2p = assoc_legendre(l, m, t[:, 0])
-                d1, d2 = fd_jet(lambda q, l=l, m=m: assoc_legendre(l, m, q[:, 0])[0], t)
-                assert agree(dp, d1[:, 0], 1e-5)
-                assert agree(d2p, d2[:, 0], 1e-4)
+                d1, d2 = fd_jet(
+                    lambda q, l=l, m=m: legendre_table(4, q[:, 0])[0, :, l, m], t)
+                assert agree(table[1, :, l, m], d1[:, 0], 1e-5)
+                assert agree(table[2, :, l, m], d2[:, 0], 1e-4)
+
+    def test_one_recurrence_matches_a_restart_per_degree_and_order(self, rng):
+        t = np.concatenate([rng.uniform(-1, 1, 50),
+                            np.cos([problems.POLE_EPS, np.pi - problems.POLE_EPS])])
+        table = legendre_table(6, t)
+        values = legendre_table(6, t, derivatives=False)
+        assert values.shape == (1,) + table.shape[1:]
+        assert np.array_equal(values[0], table[0])
+        for l in range(7):
+            assert np.all(table[:, :, l, l + 1:] == 0.0)
+            for m in range(l + 1):
+                want = word_oracle.assoc_legendre(l, m, t)
+                for got, ref in zip(table[:, :, l, m], want):
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            assoc_legendre(1, 2, np.array([0.0]))
+        with pytest.raises(ValueError, match="l_max"):
+            legendre_table(-1, np.array([0.0]))
         with pytest.raises(JetDomainError):
-            assoc_legendre(2, 1, np.array([1.5]))
+            legendre_table(2, np.array([1.5]))
 
 
 class TestSphericalHarmonics:
     def test_word_count_and_constant(self, rng):
         pts = rng.uniform([0.2, 0.0], [np.pi - 0.2, 2 * np.pi], size=(30, 2))
-        x = seed2(pts)
-        words = eval_spherical_harmonics(3, x.component(0), x.component(1))
+        words = harmonics(3, pts)
         assert words.value.shape[-1] == 16
         c = 1.0 / math.sqrt(4.0 * math.pi)
         assert np.allclose(words.value[:, 0], c)
@@ -251,8 +340,7 @@ class TestSphericalHarmonics:
             np.arccos(rng.uniform(np.cos(np.pi - 0.01), np.cos(0.01), 100)),
             rng.uniform(0.0, 2 * np.pi, 100),
         ])
-        x = seed2(pts)
-        words = eval_spherical_harmonics(3, x.component(0), x.component(1))
+        words = harmonics(3, pts)
         i = 0
         for l in range(4):
             lam = -l * (l + 1)
@@ -269,8 +357,7 @@ class TestSphericalHarmonics:
     def test_orthonormal_gram_by_area_weighted_monte_carlo(self, rng):
         z = rng.uniform(-1.0, 1.0, size=100_000)
         pts = np.column_stack([np.arccos(z), rng.uniform(0, 2 * np.pi, z.size)])
-        x = seed2(pts)
-        words = eval_spherical_harmonics(3, x.component(0), x.component(1)).value
+        words = harmonics(3, pts).value
         gram = words.T @ words * (4.0 * np.pi / z.size)
         assert np.max(np.abs(gram - np.eye(16))) < 2e-2
 
@@ -278,11 +365,9 @@ class TestSphericalHarmonics:
         pts = rng.uniform([0.3, 0.5], [np.pi - 0.3, 2 * np.pi - 0.5], size=(40, 2))
 
         def values(q, j):
-            x = seed2(q)
-            return eval_spherical_harmonics(3, x.component(0), x.component(1)).value[:, j]
+            return harmonics(3, q).value[:, j]
 
-        x = seed2(pts)
-        words = eval_spherical_harmonics(3, x.component(0), x.component(1))
+        words = harmonics(3, pts)
         for j in (1, 4, 9, 12, 15):
             d1, d2 = fd_jet(lambda q, j=j: values(q, j), pts)
             assert agree(words.d1[:, j, :], d1, 1e-5)
@@ -291,15 +376,14 @@ class TestSphericalHarmonics:
 
 class TestFuse:
     def test_dot_product_value(self):
-        x = seed2([[0.0]]).component(0)
-        words = eval_fourier1d(2, x)
+        words = fourier1d(2, [[0.0]])
         net = Jet2.const(np.array([[0.5, -0.5, 1.0, 0.25, 2.0]]), 1)
         out = fuse(words, net)
         assert out.value[0] == pytest.approx(0.25)
 
     def test_zero_network_gives_zero(self, rng):
         pts = rng.uniform(-3, 3, size=(10, 1))
-        words = eval_fourier1d(3, seed2(pts).component(0))
+        words = fourier1d(3, pts)
         net = Jet2.const(np.zeros((10, 7)), 1)
         out = fuse(words, net)
         assert np.all(out.value == 0.0)
@@ -308,7 +392,7 @@ class TestFuse:
 
     def test_bilinear_in_network_outputs(self, rng):
         pts = rng.uniform(-3, 3, size=(10, 1))
-        words = eval_fourier1d(3, seed2(pts).component(0))
+        words = fourier1d(3, pts)
 
         def random_jet():
             return Jet2(rng.normal(size=(10, 7)), rng.normal(size=(10, 7, 1)),
@@ -323,7 +407,7 @@ class TestFuse:
 
     def test_length_mismatch_raises(self, rng):
         pts = rng.uniform(-3, 3, size=(4, 1))
-        words = eval_fourier1d(2, seed2(pts).component(0))
+        words = fourier1d(2, pts)
         with pytest.raises(ValueError, match="fuse"):
             fuse(words, Jet2.const(np.zeros((4, 3)), 1))
 

@@ -418,6 +418,87 @@ class TestSlotPass:
             np.mean((F.value - ground_truth(p, pts)) ** 2))
 
 
+def count_word_builds(monkeypatch):
+    """Point counts of every ``eval_dictionary`` call training makes."""
+    sizes = []
+
+    def counted(spec, points, derivatives=True):
+        sizes.append(len(points))
+        return eval_dictionary(spec, points, derivatives)
+
+    monkeypatch.setattr(training, "eval_dictionary", counted)
+    return sizes
+
+
+class TestInputMemo:
+    """A run builds the words of a repeated point set once."""
+
+    @pytest.mark.parametrize("pid,fixed_boundary", [
+        ("poisson1d", True), ("sphere", True), ("poisson2d", False)])
+    def test_fixed_boundary_words_are_built_once(self, monkeypatch, pid,
+                                                 fixed_boundary):
+        p = problems.get(pid)
+        sizes = count_word_builds(monkeypatch)
+        train(p, p.dictionary, TrainSettings(iterations=7, hidden_width=8,
+                                             n_pred=50, record_every=100))
+        # the evaluation set, then one PDE batch per iteration
+        assert sizes[0] == 50
+        assert sizes.count(p.n_pde) == 7
+        assert sizes.count(p.n_bc) == (1 if fixed_boundary else 7)
+        assert len(sizes) == 1 + 7 + sizes.count(p.n_bc)
+
+    def test_fixed_collocation_builds_both_batches_once(self, monkeypatch):
+        p = problems.get("poisson2d")
+        sizes = count_word_builds(monkeypatch)
+        train(p, p.dictionary, TrainSettings(
+            iterations=5, hidden_width=8, n_pred=50, n_pde=30, n_bc=20,
+            record_every=2, fresh_batches=False))
+        assert sorted(sizes) == [20, 30, 50]
+
+    @pytest.mark.parametrize("fn,region", [(empirical_pde_loss, "interior"),
+                                           (empirical_bc_loss, "boundary")])
+    def test_changed_points_are_never_served_stale(self, fn, region):
+        p, dspec, lift, store = published_model("poisson2d", "dictionary")
+        rng = np.random.default_rng(4)
+        sample = sample_interior if region == "interior" else sample_boundary
+        a, b = sample(p, 40, rng), sample(p, 40, rng)
+        pool = SlotBuffers()
+        fn(store, p, dspec, a, lift, pool)
+        for batch in (b, a, a):
+            want = fn(store, p, dspec, batch, lift)
+            got = fn(store, p, dspec, batch, lift, pool)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        # the same array with other points in it
+        a.points[:] = b.points
+        got = fn(store, p, dspec, a, lift, pool)
+        want = fn(store, p, dspec, b, lift)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("pid", ["poisson1d", "sphere"])
+    def test_memoised_inputs_are_unchanged_after_a_run(self, monkeypatch, pid):
+        pools = []
+
+        class Recorded(SlotBuffers):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        monkeypatch.setattr(training, "SlotBuffers", Recorded)
+        p = problems.get(pid)
+        train(p, p.dictionary, TrainSettings(iterations=6, hidden_width=8,
+                                             record_every=3))
+        (pool,) = pools
+        assert sorted(pool.memos) == ["bc", "pde"]
+        for role, layout in (("pde", operator_layout(p)), ("bc", VALUES)):
+            points, (x, words, coeffs) = pool.memos[role]
+            want = predictor_slots(p, p.dictionary, points, p.lift, layout)
+            for got, ref in ((x, want[0]), (words, want[1]),
+                             *zip(coeffs, want[2])):
+                if isinstance(got, np.ndarray):
+                    assert not got.flags.writeable
+                assert np.array_equal(got, ref)
+
+
 class TestTrainLoop:
     def test_zero_iterations_returns_initial_params(self):
         p = problems.get("poisson1d")
