@@ -9,6 +9,7 @@ estimates with an arg-max refinement pass, not certificates.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -509,6 +510,19 @@ def _check_bound_applies(p: ProblemSpec) -> None:
                          f"on an interval or a square, not for {p.id}")
 
 
+@functools.lru_cache
+def _box_regularity(lo: tuple, hi: tuple) -> tuple:
+    """(interior, boundary) regularity of the interval or square [lo, hi].
+
+    Both depend on the box alone and come from fixed seeds, so each box's
+    pair is computed once per process.
+    """
+    if len(lo) == 1:
+        return estimate_regularity(Interval(lo[0], hi[0]), mc_points=20_000), 1.0
+    return (estimate_regularity(Box(lo, hi), mc_points=20_000),
+            _square_perimeter_regularity((hi[0] - lo[0]) / 2.0))
+
+
 def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
                  lift: bool = False, n_interior: int = 20_000,
                  n_boundary: int = 2_000, seed: int = 0,
@@ -541,15 +555,12 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
 
     side = hi - lo
     slab_width = float(side.min())     # planes this far apart enclose the box
+    reg_interior, reg_boundary = _box_regularity(tuple(map(float, p.lo)),
+                                                 tuple(map(float, p.hi)))
     if p.dim == 1:
-        domain = Interval(p.lo[0], p.hi[0])
-        reg_boundary = 1.0
         td1 = 2.0 * d1_exp      # two-point boundary: sup <= sum = 2 * mean
     else:
-        domain = Box(p.lo, p.hi)
-        reg_boundary = _square_perimeter_regularity(side[0] / 2.0)
         td1 = tilde_delta(d1_exp, lip, reg_boundary, 4.0 * side[0], p.dim)
-    reg_interior = estimate_regularity(domain, mc_points=20_000)
     td2 = tilde_delta(d2_exp, lip, reg_interior, p.volume, p.dim)
 
     bound_sup = poisson_bound(d1_sup, d2_sup, slab_width)

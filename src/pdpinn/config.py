@@ -52,6 +52,8 @@ def default_out_dir() -> str:
 
 # fields older files may set that no longer do anything; they are skipped
 _RETIRED_FIELDS = {"deterministic"}
+# the sections a file may hold besides [DEFAULT], in the order they are read
+_SECTIONS = ("network", "training", "experiment")
 # the settings written under [network]; every other setting goes to [training]
 _NETWORK_FIELDS = ("hidden_layers", "hidden_width")
 _SETTINGS = frozenset(f.name for f in fields(TrainSettings))
@@ -79,8 +81,10 @@ def load_config(path) -> ExperimentConfig:
     ``problem`` and ``dictionary`` are read from [experiment] (which
     inherits them from [DEFAULT]) and rejected in other sections; any other
     field may sit in any section, and its value is parsed with the type of
-    the preset's value for that field.  Values are taken literally (no
-    ``%`` interpolation), and each setting is validated as it is read.
+    the preset's value for that field.  A section other than [experiment],
+    [network], [training] and [DEFAULT] is rejected by name.  Values are
+    taken literally (no ``%`` interpolation), and each setting is validated
+    as it is read.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -92,6 +96,9 @@ def load_config(path) -> ExperimentConfig:
                          f"{e.start})") from None
     if not read:
         raise ValueError(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"{path}: unknown section [{section}]")
     if "experiment" not in parser or "problem" not in parser["experiment"]:
         raise ValueError(f"{path}: missing experiment.problem")
     try:
@@ -109,7 +116,7 @@ def load_config(path) -> ExperimentConfig:
             cfg.lift = False
 
     names = {f.name for f in fields(cfg)}
-    for section in ("network", "training", "experiment"):
+    for section in _SECTIONS:
         if section not in parser:
             continue
         for key, raw in parser[section].items():

@@ -19,9 +19,15 @@ from .sampling import SampleBatch, sample_boundary, sample_interior
 DIVERGENCE_LIMIT = 1e12
 
 # Points per forward-only pass, which bounds its memory on large batches.
+# Chunks of 4096 points spilled a layer's slot arrays (6.6 MB each for
+# poisson2d's four slots at width 50) out of a 2 MiB L2 cache.  A perfbench
+# verify sweep (seeds 200-209, one BLAS thread, 2-core Xeon) gave a median
+# of 6.01 ops/s at 256 points (4 runs), 6.49 at 512 and 6.66 at 1024 (10
+# runs each); below 1024 the per-chunk Python overhead outweighs the cache.
 # A power of two keeps every point on the GEMM row blocks of one
-# whole-batch pass, so chunking leaves the results bitwise unchanged.
-FORWARD_CHUNK = 4096
+# whole-batch pass, so chunking leaves the results bitwise unchanged; an
+# odd size such as 333 changes them at the rounding level.
+FORWARD_CHUNK = 1024
 
 # Seed of the prediction-error sample, separate from the training noise.
 EVAL_SEED = 777
@@ -163,14 +169,16 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
 
 
 def _pass_inputs(role: str, p: ProblemSpec, dspec: DictionarySpec,
-                 points: np.ndarray, lift: bool, layout: SlotLayout,
+                 points: np.ndarray, lift: bool, layout: SlotLayout, target,
                  buffers: SlotBuffers | None):
-    """``predictor_slots`` for one pass role; with a pool, built again only
-    when the role's points change."""
+    """``(predictor_slots(...), target(p, points))`` for one pass role; with
+    a pool, both are built again only when the role's points change."""
+    def build():
+        return (predictor_slots(p, dspec, points, lift, layout),
+                target(p, points))
     if buffers is None:
-        return predictor_slots(p, dspec, points, lift, layout)
-    return buffers.memo(role, points, lambda: predictor_slots(
-        p, dspec, points, lift, layout))
+        return build()
+    return buffers.memo(role, points, build)
 
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
@@ -221,17 +229,16 @@ def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 
     The pass carries the operator slot, so the residual is F_L - q and
     dL/dF is 2 r / n on that slot alone.  The pass takes its work arrays
-    from ``buffers``, or fresh ones when None; a pool also keeps the words
-    and network input of the last batch, reused while the points repeat.
+    from ``buffers``, or fresh ones when None; a pool also keeps the words,
+    network input and q of the last batch, reused while the points repeat.
     """
     if batch.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
     pts = batch.points
     layout = operator_layout(p)
-    fwd = _slot_pass(store, layout,
-                     _pass_inputs("pde", p, dspec, pts, lift, layout, buffers),
-                     pts, buffers=buffers)
-    r = fwd.F[-1] - rhs(p, pts)
+    slots, q = _pass_inputs("pde", p, dspec, pts, lift, layout, rhs, buffers)
+    fwd = _slot_pass(store, layout, slots, pts, buffers=buffers)
+    r = fwd.F[-1] - q
     gF = np.zeros_like(fwd.F)
     gF[-1] = (2.0 / r.size) * r
     return float(np.mean(r * r)), fwd.gradient(gF)
@@ -244,16 +251,16 @@ def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 
     Only values enter, so the pass carries the value slot alone.  The pass
     takes its work arrays from ``buffers``, or fresh ones when None; a pool
-    also keeps the inputs of the last batch, reused while the points repeat
-    (the fixed boundary points of poisson1d and sphere).
+    also keeps the inputs and boundary data of the last batch, reused while
+    the points repeat (the fixed boundary points of poisson1d and sphere).
     """
     if batch.region != "boundary":
         raise ValueError("BC loss needs a boundary batch")
     pts = batch.points
-    fwd = _slot_pass(store, VALUES,
-                     _pass_inputs("bc", p, dspec, pts, lift, VALUES, buffers),
-                     pts, buffers=buffers)
-    m = fwd.F[0] - boundary_value(p, pts)
+    slots, data = _pass_inputs("bc", p, dspec, pts, lift, VALUES,
+                               boundary_value, buffers)
+    fwd = _slot_pass(store, VALUES, slots, pts, buffers=buffers)
+    m = fwd.F[0] - data
     return float(np.mean(m * m)), fwd.gradient((2.0 / m.size) * m[None])
 
 

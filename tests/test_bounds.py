@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdpinn import bounds, problems
+from pdpinn import bounds, problems, training
 from pdpinn.bounds import (Box, BoundReport, Disk, Interval,
                            UnsupportedDomainError,
                            estimate_lipschitz, estimate_regularity,
@@ -281,6 +281,48 @@ class TestVerifyBound:
         assert asdict(fast) == pytest.approx(asdict(jet), rel=1e-12, abs=0)
         assert all(type(v) in (str, float, bool) for v in asdict(fast).values())
         assert BoundReport.from_json(fast.to_json()) == fast
+
+    @pytest.mark.parametrize("pid", ["poisson1d", "poisson2d"])
+    def test_box_constants_are_computed_once_per_box(self, monkeypatch, pid):
+        p = problems.get(pid)
+        names = ["estimate_regularity"]
+        if p.dim == 2:
+            names.append("_square_perimeter_regularity")
+        original = {name: getattr(bounds, name) for name in names}
+        calls = []
+        for name in original:
+            def counted(*args, _name=name, **kw):
+                calls.append(_name)
+                return original[_name](*args, **kw)
+            monkeypatch.setattr(bounds, name, counted)
+
+        def report(seed):
+            return asdict(verify_bound(
+                None, p, p.dictionary, n_interior=1000, n_boundary=50,
+                seed=seed, predictor_fn=lambda pts: ground_truth_jet(p, pts)))
+
+        bounds._box_regularity.cache_clear()
+        first, second = report(1), report(1)
+        assert calls == names
+        bounds._box_regularity.cache_clear()
+        assert report(1) == first == second
+        assert calls == names * 2
+        # the cached pair is what the public, uncached estimates give
+        domain = Interval(*p.lo, *p.hi) if p.dim == 1 else Box(p.lo, p.hi)
+        assert first["regularity_interior"] == original["estimate_regularity"](
+            domain, mc_points=20_000)
+        if p.dim == 2:
+            assert first["regularity_boundary"] == \
+                original["_square_perimeter_regularity"](10.0)
+
+    def test_report_is_bitwise_at_the_old_chunk(self, monkeypatch):
+        p = problems.get("poisson2d")
+        _, store = train(p, p.dictionary, TrainSettings(
+            iterations=3, record_every=3, seed=4))
+        chunked = asdict(verify_bound(store, p, p.dictionary, seed=6))
+        assert FORWARD_CHUNK < 4096
+        monkeypatch.setattr(training, "FORWARD_CHUNK", 4096)
+        assert asdict(verify_bound(store, p, p.dictionary, seed=6)) == chunked
 
     @pytest.mark.parametrize("slope", [0.0, 0.25])
     def test_lipschitz_constant_is_the_mismatch_slope(self, slope):

@@ -97,6 +97,17 @@ class TestConfigFile:
         cfg = config.load_config(path)
         assert (cfg.problem, cfg.seed) == ("poisson2d", 3)
 
+    @pytest.mark.parametrize("section", ["trainng", "Training", "model"])
+    def test_unknown_section_exits_2_naming_it(self, tmp_path, section):
+        path = tmp_path / "typo.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\n"
+                        f"[{section}]\nseed = 5\niterations = 3\n")
+        message = f"{path}: unknown section [{section}]"
+        with pytest.raises(ValueError) as info:
+            config.load_config(path)
+        assert str(info.value) == message
+        assert run_exit_code(path) == (2, f"error: {message}\n")
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             config.load_config(tmp_path / "nope.ini")
@@ -123,9 +134,10 @@ def run_exit_code(path):
     return rc, err.getvalue()
 
 
-# the field names, the sections and values a config file may hold
+# the field names, the sections and values a config file may hold, and a
+# misspelt section
 FIELD_NAMES = [f.name for f in fields(config.ExperimentConfig)] + ["deterministic"]
-SECTIONS = ["experiment", "network", "training", "DEFAULT"]
+SECTIONS = ["experiment", "network", "training", "DEFAULT", "trainng"]
 VALUES = ["poisson1d", "sphere", "fourier1d:3", "none", "true", "no", "0", "-1",
           "7", "1e-3", "nan", "inf", "", "runs%x", "%(seed)s", "fourier2d:2,"]
 # no surrogates: the file is written as UTF-8
@@ -200,7 +212,8 @@ class TestMalformedConfig:
             cfg.settings()              # a loaded file holds valid settings
             return
         assert message.startswith(f"{path}: ")
-        assert re.search(r"line \d+|(experiment|network|training)\.\S",
+        assert re.search(r"line \d+|(experiment|network|training)\.\S"
+                         r"|^unknown section \[",
                          message[len(str(path)) + 2:]), message
         # the CLI reports the same message and exits 2 before training
         assert run_exit_code(path) == (2, f"error: {message}\n")

@@ -431,7 +431,7 @@ def count_word_builds(monkeypatch):
 
 
 class TestInputMemo:
-    """A run builds the words of a repeated point set once."""
+    """A run builds the words and loss target of a repeated point set once."""
 
     @pytest.mark.parametrize("pid,fixed_boundary", [
         ("poisson1d", True), ("sphere", True), ("poisson2d", False)])
@@ -446,6 +446,19 @@ class TestInputMemo:
         assert sizes.count(p.n_pde) == 7
         assert sizes.count(p.n_bc) == (1 if fixed_boundary else 7)
         assert len(sizes) == 1 + 7 + sizes.count(p.n_bc)
+
+    def test_fixed_boundary_data_is_evaluated_once(self, monkeypatch):
+        calls = {"rhs": 0, "boundary_value": 0}
+        for name, fn in (("rhs", rhs), ("boundary_value", boundary_value)):
+            def counted(p, pts, _name=name, _fn=fn):
+                calls[_name] += 1
+                return _fn(p, pts)
+            monkeypatch.setattr(training, name, counted)
+        p = problems.get("poisson1d")
+        train(p, p.dictionary, TrainSettings(iterations=20, hidden_width=8,
+                                             record_every=10))
+        # fresh interior batches, the two fixed end points
+        assert calls == {"rhs": 20, "boundary_value": 1}
 
     def test_fixed_collocation_builds_both_batches_once(self, monkeypatch):
         p = problems.get("poisson2d")
@@ -489,11 +502,12 @@ class TestInputMemo:
                                              record_every=3))
         (pool,) = pools
         assert sorted(pool.memos) == ["bc", "pde"]
-        for role, layout in (("pde", operator_layout(p)), ("bc", VALUES)):
-            points, (x, words, coeffs) = pool.memos[role]
+        for role, layout, target in (("pde", operator_layout(p), rhs),
+                                     ("bc", VALUES, boundary_value)):
+            points, ((x, words, coeffs), data) = pool.memos[role]
             want = predictor_slots(p, p.dictionary, points, p.lift, layout)
             for got, ref in ((x, want[0]), (words, want[1]),
-                             *zip(coeffs, want[2])):
+                             *zip(coeffs, want[2]), (data, target(p, points))):
                 if isinstance(got, np.ndarray):
                     assert not got.flags.writeable
                 assert np.array_equal(got, ref)
