@@ -168,6 +168,8 @@ def _cmd_dump_grid(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     p = problems.get(args.problem)
     dspec = DictionarySpec.parse(args.dictionary)
     store = _load_matching_checkpoint(args.checkpoint, p, dspec, lift=False)

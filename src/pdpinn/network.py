@@ -108,10 +108,14 @@ class SlotLayout:
             return f"d1[{self.coords[self.d1[slot - 1]]}]"
         return "L"
 
+    @property
+    def slots(self) -> int:
+        return 1 + len(self.d1) + self.operator
+
     def pack(self, jet: Jet2, op: np.ndarray | None = None) -> np.ndarray:
         """Slot-major copy of a jet, shape (slots,) + value shape; ``op`` is
         the operator applied to the jet, for the L slot."""
-        out = np.empty((1 + len(self.d1) + self.operator,) + jet.value.shape)
+        out = np.empty((self.slots,) + jet.value.shape)
         out[0] = jet.value
         for s, k in enumerate(self.d1, 1):
             out[s] = jet.d1[..., k]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -26,7 +29,11 @@ DIVERGENCE_LIMIT = 1e12
 # runs each); below 1024 the per-chunk Python overhead outweighs the cache.
 # A power of two keeps every point on the GEMM row blocks of one
 # whole-batch pass, so chunking leaves the results bitwise unchanged; an
-# odd size such as 333 changes them at the rounding level.
+# odd size such as 333 changes them at the rounding level.  The chunks
+# share nothing, so they run concurrently on one thread per CPU the process
+# may use (numpy's GEMMs and ufuncs release the GIL) and are joined in
+# order: the result is bitwise the serial loop's.  Keep BLAS on one thread,
+# or its own threads compete with the chunks for the same CPUs.
 FORWARD_CHUNK = 1024
 
 # Seed of the prediction-error sample, separate from the training noise.
@@ -196,21 +203,82 @@ def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
             f"{e}; batch point {np.array2string(points[row])}", row=row) from None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# The threads of predictor_fields, shared by every call in the process and
+# built on the first call that has chunks to share.
+_chunk_pool = None
+_chunk_pool_lock = threading.Lock()
+
+
+def _drop_chunk_pool() -> None:
+    # a forked child has none of the parent's threads, so an inherited
+    # pool would queue work that no thread ever runs
+    global _chunk_pool, _chunk_pool_lock
+    _chunk_pool, _chunk_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_chunk_pool)
+
+
+def _map_in_order(fn, args: list) -> list:
+    """``[fn(a) for a in args]``, on the process's chunk pool when there
+    are two usable CPUs and two arguments to share.
+
+    Each call runs under a copy of the caller's context, so numpy's error
+    state (a context variable) is the caller's.  The first failure in
+    argument order is raised once the calls after it are cancelled or
+    finished.
+    """
+    workers = _usable_cpus()
+    if min(workers, len(args)) < 2:
+        return [fn(a) for a in args]
+    global _chunk_pool
+    with _chunk_pool_lock:
+        if _chunk_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _chunk_pool = ThreadPoolExecutor(max_workers=workers,
+                                             thread_name_prefix="pdpinn-chunk")
+        pool = _chunk_pool
+    futures = [pool.submit(contextvars.copy_context().run, fn, a)
+               for a in args]
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        for f in futures:
+            if not f.cancelled():
+                f.exception()           # waits for a running call
+        raise
+
+
 def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                      points: np.ndarray, lift: bool,
                      layout: SlotLayout) -> np.ndarray:
     """Predictor slots at points, shape (slots, n), through the
     forward-only slot pass carrying the slots of ``layout``.
 
-    Runs ``FORWARD_CHUNK`` points at a time.
+    Runs ``FORWARD_CHUNK`` points at a time, the chunks concurrently on one
+    thread per usable CPU; a NaN/Inf report names the row of ``points``.
     """
-    parts = []
-    for start in range(0, len(points), FORWARD_CHUNK):
+    def chunk(start):
         pts = points[start:start + FORWARD_CHUNK]
-        parts.append(_slot_pass(store, layout,
-                                predictor_slots(p, dspec, pts, lift, layout),
-                                points, start, retain=False).F)
-    return np.concatenate(parts, axis=1)
+        return _slot_pass(store, layout,
+                          predictor_slots(p, dspec, pts, lift, layout),
+                          points, start, retain=False).F
+
+    starts = list(range(0, len(points), FORWARD_CHUNK))
+    if not starts:
+        return np.empty((layout.slots, 0))
+    return np.concatenate(_map_in_order(chunk, starts), axis=1)
 
 
 def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,

@@ -66,5 +66,19 @@ def fd_loss_gradient(loss_fn, store, indices, h=1e-4):
 
 
 @pytest.fixture
+def chunk_workers(monkeypatch):
+    """``set(n)`` has ``training.predictor_fields`` spread its chunks over
+    ``n`` CPUs, None for the CPUs the process may use."""
+    from pdpinn import training
+
+    usable = training._usable_cpus
+
+    def set_workers(n):
+        monkeypatch.setattr(training, "_usable_cpus",
+                            usable if n is None else lambda: n)
+    return set_workers
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -324,6 +324,16 @@ class TestVerifyBound:
         monkeypatch.setattr(training, "FORWARD_CHUNK", 4096)
         assert asdict(verify_bound(store, p, p.dictionary, seed=6)) == chunked
 
+    def test_report_is_bitwise_under_any_worker_count(self, chunk_workers):
+        p = problems.get("poisson2d")
+        _, store = train(p, p.dictionary, TrainSettings(
+            iterations=3, record_every=3, seed=4))
+        chunk_workers(1)
+        serial = asdict(verify_bound(store, p, p.dictionary, seed=6))
+        for workers in (None, 3):
+            chunk_workers(workers)
+            assert asdict(verify_bound(store, p, p.dictionary, seed=6)) == serial
+
     @pytest.mark.parametrize("slope", [0.0, 0.25])
     def test_lipschitz_constant_is_the_mismatch_slope(self, slope):
         # F = u + slope * x: F - u has gradient slope everywhere and F has

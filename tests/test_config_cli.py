@@ -458,6 +458,18 @@ class TestBoundsCommand:
         assert "checkpoint shape (1 -> 17) does not match problem/dictionary " \
                "(1 -> 9)" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_the_flag(self, tiny_run, tmp_path,
+                                                   capsys):
+        out = tmp_path / "report.json"
+        rc = cli.main(["bounds", "--checkpoint", str(tiny_run / "model.ckpt"),
+                       "--problem", "poisson1d", "--dictionary", "fourier1d:8",
+                       "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sphere_rejected(self, tiny_run):
         with pytest.raises(SystemExit):
             cli.main(["bounds", "--checkpoint", str(tiny_run / "model.ckpt"),

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -337,7 +345,8 @@ class TestSlotPass:
             predictor_slots(p, p.dictionary, np.zeros((3, 2)), False, layout)
 
     @pytest.mark.parametrize("pid,model", PUBLISHED)
-    def test_chunked_forward_pass_is_bitwise_the_whole_batch_pass(self, pid, model):
+    def test_chunked_forward_pass_is_bitwise_the_whole_batch_pass(
+            self, pid, model, chunk_workers):
         p, dspec, lift, store = published_model(pid, model)
         pts = sample_interior(p, 2 * FORWARD_CHUNK + 333,
                               np.random.default_rng(5)).points
@@ -349,8 +358,11 @@ class TestSlotPass:
                 pooled = SlotPass(store.layers, layout, *slots, retain=False,
                                   buffers=pool)
                 assert np.array_equal(pooled.F, F)
-            chunked = predictor_fields(store, p, dspec, pts, lift, layout)
-            assert np.array_equal(chunked, F)
+            # the serial loop, the usable CPUs, and more threads than CPUs
+            for workers in (1, None, 3):
+                chunk_workers(workers)
+                chunked = predictor_fields(store, p, dspec, pts, lift, layout)
+                assert np.array_equal(chunked, F)
 
     @pytest.mark.parametrize("pid,model", PUBLISHED)
     def test_buffered_training_is_bitwise_the_unbuffered_training(
@@ -416,6 +428,124 @@ class TestSlotPass:
         F = predictor_jets(store.layers, p, p.dictionary, pts, p.lift)
         assert records[-1].error_predict == float(
             np.mean((F.value - ground_truth(p, pts)) ** 2))
+
+
+def overflowing_store():
+    # out = A tanh(10 x): the value stays finite while d1 = 10 A f1
+    # overflows near x = 0
+    return ParamStore([(np.array([[10.0]]), np.zeros(1)),
+                       (np.array([[1e308]]), np.zeros(1))])
+
+
+def operator_fields(pid, model, n=2 * FORWARD_CHUNK + 333):
+    """``predictor_fields`` in the operator layout of a published model."""
+    p, dspec, lift, store = published_model(pid, model)
+    pts = sample_interior(p, n, np.random.default_rng(5)).points
+    return predictor_fields(store, p, dspec, pts, lift, operator_layout(p))
+
+
+class TestConcurrentChunks:
+    """``predictor_fields`` runs its chunks on one thread per usable CPU."""
+
+    def test_empty_batch_gives_no_columns(self):
+        p = problems.get("poisson2d")
+        store = small_store(p, p.dictionary, False)
+        for layout in (VALUES, operator_layout(p)):
+            F = predictor_fields(store, p, p.dictionary, np.empty((0, 2)),
+                                 False, layout)
+            assert F.shape == (layout.slots, 0)
+
+    def test_one_worker_or_one_chunk_creates_no_pool(self, chunk_workers,
+                                                     monkeypatch):
+        monkeypatch.setattr(training, "_chunk_pool", None)
+        p = problems.get("poisson1d")
+        store = small_store(p, p.dictionary, False)
+        pts = np.linspace(-9.0, 9.0, 3 * FORWARD_CHUNK)[:, None]
+        chunk_workers(1)
+        predictor_fields(store, p, p.dictionary, pts, False, VALUES)
+        chunk_workers(2)
+        predictor_fields(store, p, p.dictionary, pts[:FORWARD_CHUNK], False,
+                         VALUES)
+        assert training._chunk_pool is None
+        predictor_fields(store, p, p.dictionary, pts, False, VALUES)
+        assert training._chunk_pool is not None
+        training._chunk_pool.shutdown()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lowest_failing_chunk_is_raised(self, chunk_workers, monkeypatch,
+                                            workers):
+        chunk_workers(workers)
+        p = problems.get("poisson1d")
+        pts = np.linspace(5.0, 9.0, 5 * FORWARD_CHUNK)[:, None]
+        row = 2 * FORWARD_CHUNK + 700           # chunk 2
+        pts[row] = 0.05
+        pts[3 * FORWARD_CHUNK + 5] = -0.02      # chunk 3
+        # with threads, chunk 2 fails only once chunk 3 has failed
+        chunk_3_failed = threading.Event()
+        original = training._slot_pass
+
+        def ordered(store, layout, slots, points, start=0, **kw):
+            if start == 2 * FORWARD_CHUNK and workers > 1:
+                assert chunk_3_failed.wait(timeout=30)
+            try:
+                return original(store, layout, slots, points, start, **kw)
+            except NonFiniteError:
+                if start == 3 * FORWARD_CHUNK:
+                    chunk_3_failed.set()
+                raise
+
+        monkeypatch.setattr(training, "_slot_pass", ordered)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            predictor_fields(overflowing_store(), p, DictionarySpec("none"),
+                             pts, False, SlotLayout(("x",)))
+        assert err.value.row == row
+        assert str(err.value) == ("non-finite d1[x] in the output of layer 2 "
+                                  "of 2; batch point [0.05]")
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_chunks_run_under_the_callers_error_state(self, chunk_workers,
+                                                      workers):
+        chunk_workers(workers)
+        p = problems.get("poisson1d")
+        pts = np.linspace(5.0, 9.0, 3 * FORWARD_CHUNK)[:, None]
+        pts[2 * FORWARD_CHUNK + 9] = 0.05
+        args = (overflowing_store(), p, DictionarySpec("none"), pts, False,
+                SlotLayout(("x",)))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            predictor_fields(*args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+                predictor_fields(*args)
+        assert [w.message for w in caught] == []
+
+    def test_importing_pdpinn_leaves_the_pool_module_unloaded(self):
+        src = os.path.dirname(os.path.dirname(training.__file__))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import pdpinn.bounds, pdpinn.cli; "
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "False"
+
+    def test_forked_child_runs_chunks_after_the_parent_used_the_pool(
+            self, chunk_workers):
+        chunk_workers(2)
+        want = operator_fields("poisson2d", "dictionary")
+        assert training._chunk_pool is not None
+        pool = ProcessPoolExecutor(max_workers=1,
+                                   mp_context=multiprocessing.get_context("fork"))
+        try:
+            got = pool.submit(operator_fields, "poisson2d",
+                              "dictionary").result(timeout=60)
+        except TimeoutError:
+            for proc in pool._processes.values():   # do not wait on a hung child
+                proc.kill()
+            raise
+        finally:
+            pool.shutdown()
+        assert np.array_equal(got, want)
 
 
 def count_word_builds(monkeypatch):
