@@ -546,8 +546,8 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
 
     def mismatch_gradients(points):
         # the boundary field is F - u, so its gradient is F' - u'
-        return (fields(points, gradient_layout)[1:].T
-                - ground_truth_jet(p, points).d1)
+        return (fields(points, gradient_layout)[1:]
+                - ground_truth_jet(p, points).d1).T
 
     lip = max(estimate_lipschitz(mismatch_gradients, lo, hi, seed=seed + 2),
               estimate_lipschitz(_central_gradients(residual), lo, hi,

@@ -60,7 +60,8 @@ def main(argv=None) -> int:
     reg_p.add_argument("--domain", required=True,
                        help="interval:a,b | box:ax,bx,ay,by[,az,bz] | disk:cx,cy,r")
     reg_p.add_argument("--mc-points", type=int, default=100_000)
-    reg_p.add_argument("--grid", type=int, default=9)
+    reg_p.add_argument("--grid", type=int, default=None,
+                       help="grid points per axis (default 21/7/4 in 1/2/3-D)")
 
     args = parser.parse_args(argv)
     try:

@@ -102,9 +102,10 @@ class DictionarySpec:
 #
 # A family writes point-major words, shape lead + (W,), into ``value`` and
 # their first and second derivatives into ``d1``/``d2``, one array per
-# coordinate along the first axis (shape (dim,) + lead + (W,); None without
-# derivatives).  It writes every entry.  Each derivative is a closed-form
-# factor of the same sines, cosines and Legendre functions as the value.
+# coordinate along the first axis (shape (dim,) + lead + (W,), the ``Jet2``
+# layout; None without derivatives).  It writes every entry.  Each
+# derivative is a closed-form factor of the same sines, cosines and
+# Legendre functions as the value.
 
 def _fourier1d(k: int, x: np.ndarray, value, d1, d2) -> None:
     """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx] of the
@@ -283,8 +284,8 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
     coordinates (the 2-D Fourier family maps to xhat = (x+10)/20 here and
     carries the chain factor).  Each family is computed in closed form on
     whole arrays, vectorised over the word index.  With
-    ``derivatives=False`` only the values are computed and the derivative
-    axis is empty.
+    ``derivatives=False`` only the values are computed and the leading
+    derivative axis is empty.
     """
     pts = np.asarray(points, dtype=np.float64)
     dim = pts.shape[-1] if derivatives else 0
@@ -303,4 +304,4 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
         _fourier2d(spec.k1, spec.k2, x, pts[..., 1], value, *jets)
     else:
         _spherical_harmonics(spec.l_max, x, pts[..., 1], value, *jets)
-    return Jet2(value, np.moveaxis(d1, 0, -1), np.moveaxis(d2, 0, -1))
+    return Jet2(value, d1, d2)

@@ -15,6 +15,13 @@ Two layers live here:
   run on it (``network.SlotPass`` has its own adjoint); the tests use it
   as an independent reference for that adjoint.
 
+Every jet in the package keeps its derivative slots first: ``d1[k]`` and
+``d2[k]`` are the derivatives along coordinate k, each shaped like the
+value; the tape packs value, d1 and d2 slots along one leading axis, and
+``network.SlotPass`` runs on that layout too.  A value-shaped array then
+broadcasts against every slot at once, and an affine map is one product
+with ``W.T`` over the trailing width axis of all slots.
+
 All arithmetic is float64; second derivatives amplify rounding and single
 precision does not survive the finite-difference tolerances used in tests.
 """
@@ -55,8 +62,9 @@ class Jet2:
     """Value plus per-coordinate first and second derivatives.
 
     ``value`` has an arbitrary shape S; ``d1`` and ``d2`` have shape
-    S + (dim,) where ``dim`` is the number of input coordinates of the
-    enclosing evaluation.  The derivative axis is always last.
+    (dim,) + S where ``dim`` is the number of input coordinates of the
+    enclosing evaluation.  The derivative axis is always first: ``d1[k]``
+    is the derivative along coordinate k, shaped like the value.
     """
 
     value: np.ndarray
@@ -65,7 +73,7 @@ class Jet2:
 
     @property
     def dim(self) -> int:
-        return self.d1.shape[-1]
+        return self.d1.shape[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -73,24 +81,27 @@ class Jet2:
     def seed(points) -> "Jet2":
         """Jets of the input coordinates themselves.
 
-        ``points`` has shape (..., d); the result carries d1[..., i, k] =
-        delta_ik and zero second derivatives.
+        ``points`` has shape (..., d); the result carries d1[k, ..., i] =
+        delta_ik, so d1[k] is the k-th unit field, and zero second
+        derivatives.
         """
         pts = _as_f64(points)
         d = pts.shape[-1]
-        d1 = np.broadcast_to(np.eye(d), pts.shape + (d,)).copy()
-        return Jet2(pts, d1, np.zeros(pts.shape + (d,)))
+        d1 = np.zeros((d,) + pts.shape)
+        for k in range(d):
+            d1[k, ..., k] = 1.0
+        return Jet2(pts, d1, np.zeros_like(d1))
 
     @staticmethod
     def const(values, dim: int) -> "Jet2":
         """A quantity with no dependence on the input coordinates."""
         v = _as_f64(values)
-        z = np.zeros(v.shape + (dim,))
+        z = np.zeros((dim,) + v.shape)
         return Jet2(v, z, z.copy())
 
     def component(self, i: int) -> "Jet2":
         """Select entry i along the last value axis."""
-        return Jet2(self.value[..., i], self.d1[..., i, :], self.d2[..., i, :])
+        return Jet2(self.value[..., i], self.d1[..., i], self.d2[..., i])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -124,9 +135,9 @@ class Jet2:
 
 def _jet_mul(f: Jet2, g: Jet2) -> Jet2:
     # The d2 grouping keeps the result bitwise symmetric under f <-> g.
-    fv, gv = f.value[..., None], g.value[..., None]
+    fv, gv = f.value, g.value
     return Jet2(
-        f.value * g.value,
+        fv * gv,
         f.d1 * gv + fv * g.d1,
         (f.d2 * gv + fv * g.d2) + 2.0 * (f.d1 * g.d1),
     )
@@ -138,8 +149,8 @@ def chain_univariate(x: Jet2, f, f1, f2) -> Jet2:
     ``f``, ``f1``, ``f2`` are the function and its first two derivatives
     already evaluated at ``x.value`` (shapes matching ``x.value``).
     """
-    f1e, f2e = _as_f64(f1)[..., None], _as_f64(f2)[..., None]
-    return Jet2(_as_f64(f), f1e * x.d1, f2e * x.d1 ** 2 + f1e * x.d2)
+    f1, f2 = _as_f64(f1), _as_f64(f2)
+    return Jet2(_as_f64(f), f1 * x.d1, f2 * x.d1 ** 2 + f1 * x.d2)
 
 
 def sin(x: Jet2):
@@ -184,14 +195,11 @@ def tanh_derivs(v: np.ndarray):
     return t, s, -2.0 * t * s, s * (6.0 * t * t - 2.0)
 
 
-def stack_jets(jets, axis: int = -1) -> Jet2:
-    """Stack scalar-shaped jets along a new value axis (default last)."""
-    dax = axis if axis >= 0 else axis - 1
-    return Jet2(
-        np.stack([j.value for j in jets], axis=axis),
-        np.stack([j.d1 for j in jets], axis=dax),
-        np.stack([j.d2 for j in jets], axis=dax),
-    )
+def stack_jets(jets) -> Jet2:
+    """Stack same-shaped jets along a new last value axis."""
+    return Jet2(np.stack([j.value for j in jets], axis=-1),
+                np.stack([j.d1 for j in jets], axis=-1),
+                np.stack([j.d2 for j in jets], axis=-1))
 
 
 # --------------------------------------------------------------------------
@@ -224,11 +232,6 @@ class ParamStore:
     @property
     def output_dim(self) -> int:
         return self.layers[-1][0].shape[0]
-
-    @property
-    def layer_dims(self):
-        """[(out, in)] for every layer."""
-        return [W.shape for W, _ in self.layers]
 
     @property
     def n_params(self) -> int:
@@ -277,16 +280,16 @@ class _Node:
 
 
 def _pack(jet: Jet2) -> np.ndarray:
-    """Pack (value, d1, d2) into one array along a trailing slot axis."""
-    return np.concatenate([jet.value[..., None], jet.d1, jet.d2], axis=-1)
+    """Pack (value, d1, d2) into one array along a leading slot axis."""
+    return np.concatenate([jet.value[None], jet.d1, jet.d2])
 
 
 class TracedJet(_Node):
-    """A jet on the tape, stored packed.
+    """A jet on the tape, stored packed, shape (1 + 2 dim,) + S.
 
-    ``aug[..., 0]`` is the value, the next ``dim`` slots hold d1 and the
-    last ``dim`` slots hold d2; the packed layout keeps every primitive a
-    single array pass.  The adjoint ``g`` shares the layout.
+    ``aug[0]`` is the value, the next ``dim`` slots hold d1 and the last
+    ``dim`` slots hold d2; the packed layout keeps every primitive a single
+    array pass.  The adjoint ``g`` shares the layout.
     """
 
     __slots__ = ("aug", "dim", "g")
@@ -303,8 +306,7 @@ class TracedJet(_Node):
     @property
     def jet(self) -> Jet2:
         d = self.dim
-        return Jet2(self.aug[..., 0], self.aug[..., 1:1 + d],
-                    self.aug[..., 1 + d:])
+        return Jet2(self.aug[0], self.aug[1:1 + d], self.aug[1 + d:])
 
     def _bump(self, g):
         self.g = g if self.g is None else self.g + g
@@ -317,9 +319,9 @@ class TracedJet(_Node):
     def _slot_arr(self, slot: int) -> "TracedArray":
         def bw(out):
             acc = np.zeros_like(self.aug)
-            acc[..., slot] = out.g
+            acc[slot] = out.g
             self._bump(acc)
-        return TracedArray(self.aug[..., slot], (self,), bw)
+        return TracedArray(self.aug[slot], (self,), bw)
 
     def value_arr(self) -> "TracedArray":
         return self._slot_arr(0)
@@ -456,45 +458,28 @@ def loss_parameter_gradient(loss: TracedArray, leaves) -> np.ndarray:
 # --------------------------------------------------------------------------
 #
 # Traced jets are restricted to the shapes the network pipeline produces:
-# value (n, w), derivatives (n, w, d), plus (n,)-shaped jets after fusion.
-
-def _contract_width(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """einsum('nik,ji->njk', A, M) via BLAS-backed matmul."""
-    n, i, k = A.shape
-    flat = np.ascontiguousarray(A.transpose(0, 2, 1)).reshape(n * k, i)
-    return (flat @ M.T).reshape(n, k, M.shape[0]).transpose(0, 2, 1)
-
-
-def _pair_width(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """einsum('njk,nik->ji', G, X) via BLAS-backed matmul."""
-    n, j, k = G.shape
-    gf = np.ascontiguousarray(G.transpose(1, 0, 2)).reshape(j, n * k)
-    xf = np.ascontiguousarray(X.transpose(1, 0, 2)).reshape(X.shape[1], n * k)
-    return gf @ xf.T
-
+# slots (1 + 2 dim, n, w), plus (1 + 2 dim, n) after fusion.
 
 def tanh(x):
     if isinstance(x, TracedJet):
         d = x.dim
-        xv, x1, x2 = x.aug[..., 0], x.aug[..., 1:1 + d], x.aug[..., 1 + d:]
+        xv, x1, x2 = x.aug[0], x.aug[1:1 + d], x.aug[1 + d:]
         t, f1, f2, f3 = tanh_derivs(xv)
-        f1e, f2e = f1[..., None], f2[..., None]
         out = np.empty_like(x.aug)
-        out[..., 0] = t
-        out[..., 1:1 + d] = f1e * x1
-        out[..., 1 + d:] = f2e * x1 ** 2 + f1e * x2
+        out[0] = t
+        out[1:1 + d] = f1 * x1
+        out[1 + d:] = f2 * x1 ** 2 + f1 * x2
 
         def bw(o):
             g = o._grad()
-            gv, g1, g2 = g[..., 0], g[..., 1:1 + d], g[..., 1 + d:]
+            gv, g1, g2 = g[0], g[1:1 + d], g[1 + d:]
             g2x1 = g2 * x1
             acc = np.empty_like(x.aug)
-            acc[..., 0] = (gv * f1
-                           + f2 * (np.sum(g1 * x1, axis=-1)
-                                   + np.sum(g2 * x2, axis=-1))
-                           + f3 * np.sum(g2x1 * x1, axis=-1))
-            acc[..., 1:1 + d] = g1 * f1e + 2.0 * f2e * g2x1
-            acc[..., 1 + d:] = g2 * f1e
+            acc[0] = (gv * f1
+                      + f2 * (np.sum(g1 * x1, axis=0) + np.sum(g2 * x2, axis=0))
+                      + f3 * np.sum(g2x1 * x1, axis=0))
+            acc[1:1 + d] = g1 * f1 + 2.0 * f2 * g2x1
+            acc[1 + d:] = g2 * f1
             x._bump(acc)
         return TracedJet(out, d, (x,), bw, "tanh")
     t, f1, f2, _ = tanh_derivs(x.value)
@@ -506,30 +491,25 @@ def affine(x, W, b):
     if isinstance(x, TracedJet):
         Wv = W.arr if isinstance(W, TracedArray) else _as_f64(W)
         bv = b.arr if isinstance(b, TracedArray) else _as_f64(b)
-        out = _contract_width(x.aug, Wv)
-        out[..., 0] += bv
+        out = x.aug @ Wv.T
+        out[0] += bv
         parents = [x] + [p for p in (W, b) if isinstance(p, TracedArray)]
 
         def bw(o):
             g = o._grad()
-            x._bump(_contract_width(g, Wv.T))
+            x._bump(g @ Wv)
             if isinstance(W, TracedArray):
-                W._bump(_pair_width(g, x.aug))
+                fan_out, fan_in = Wv.shape
+                W._bump(g.reshape(-1, fan_out).T @ x.aug.reshape(-1, fan_in))
             if isinstance(b, TracedArray):
-                b._bump(g[..., 0].sum(axis=0))
+                b._bump(g[0].sum(axis=0))
         return TracedJet(out, x.dim, tuple(parents), bw, "affine")
 
     Wv, bv = _as_f64(W), _as_f64(b)
     if x.value.shape[-1] != Wv.shape[1]:
         raise ValueError(
             f"affine: input width {x.value.shape[-1]} != fan-in {Wv.shape[1]}")
-    if x.value.ndim == 2:
-        return Jet2(x.value @ Wv.T + bv,
-                    _contract_width(x.d1, Wv),
-                    _contract_width(x.d2, Wv))
-    return Jet2(x.value @ Wv.T + bv,
-                np.einsum("...ik,ji->...jk", x.d1, Wv),
-                np.einsum("...ik,ji->...jk", x.d2, Wv))
+    return Jet2(x.value @ Wv.T + bv, x.d1 @ Wv.T, x.d2 @ Wv.T)
 
 
 def mul(a, b):
@@ -543,40 +523,36 @@ def _traced_mul(a, b):
     aj = a.jet if isinstance(a, TracedJet) else a
     bj = b.jet if isinstance(b, TracedJet) else b
     out = _jet_mul(aj, bj)
-    dim = out.d1.shape[-1]
+    dim = out.dim
     parents = tuple(p for p in (a, b) if isinstance(p, TracedJet))
 
     def bw(o):
         g = o._grad()
-        gv, g1, g2 = g[..., 0], g[..., 1:1 + dim], g[..., 1 + dim:]
+        gv, g1, g2 = g[0], g[1:1 + dim], g[1 + dim:]
         for node, other in ((a, bj), (b, aj)):
             if not isinstance(node, TracedJet):
                 continue
-            ov = other.value[..., None]
+            ov = other.value
             acc = np.empty_like(node.aug)
-            acc[..., 0] = (gv * other.value
-                           + np.sum(g1 * other.d1, axis=-1)
-                           + np.sum(g2 * other.d2, axis=-1))
-            acc[..., 1:1 + dim] = g1 * ov + g2 * 2.0 * other.d1
-            acc[..., 1 + dim:] = g2 * ov
+            acc[0] = (gv * ov + np.sum(g1 * other.d1, axis=0)
+                      + np.sum(g2 * other.d2, axis=0))
+            acc[1:1 + dim] = g1 * ov + g2 * 2.0 * other.d1
+            acc[1 + dim:] = g2 * ov
             node._bump(acc)
     return TracedJet(_pack(out), dim, parents, bw, "mul")
 
 
-def sum_words(x, axis: int = -1):
-    """Sum along a value axis (used to contract dictionary words)."""
+def sum_words(x):
+    """Sum along the last value axis (used to contract dictionary words)."""
     if isinstance(x, TracedJet):
-        if axis != -1:
-            raise ValueError("traced sum_words supports only the last value axis")
-        out = x.aug.sum(axis=-2)
-        w = x.aug.shape[-2]
+        out = x.aug.sum(axis=-1)
+        w = x.aug.shape[-1]
 
         def bw(o):
             g = o._grad()
-            x._bump(np.repeat(g[..., None, :], w, axis=-2))
+            x._bump(np.repeat(g[..., None], w, axis=-1))
         return TracedJet(out, x.dim, (x,), bw, "sum")
-    dax = axis if axis >= 0 else axis - 1
-    return Jet2(x.value.sum(axis=axis), x.d1.sum(axis=dax), x.d2.sum(axis=dax))
+    return Jet2(x.value.sum(axis=-1), x.d1.sum(axis=-1), x.d2.sum(axis=-1))
 
 
 def trace_input(jet: Jet2) -> TracedJet:

@@ -118,7 +118,7 @@ class SlotLayout:
         out = np.empty((self.slots,) + jet.value.shape)
         out[0] = jet.value
         for s, k in enumerate(self.d1, 1):
-            out[s] = jet.d1[..., k]
+            out[s] = jet.d1[k]
         if self.operator:
             out[-1] = op
         return out
@@ -387,15 +387,20 @@ def load_checkpoint(path) -> ParamStore:
         data = fh.read()
     if data[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a parameter checkpoint")
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated checkpoint header "
+                         f"({len(data)} bytes, expected 12)")
     version, n_layers = struct.unpack_from("<II", data, 4)
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
-    shapes = []
-    for _ in range(n_layers):
-        out_dim, in_dim = struct.unpack_from("<II", data, pos)
-        shapes.append((out_dim, in_dim))
-        pos += 8
+    if n_layers == 0:
+        raise ValueError(f"{path}: checkpoint has no layers")
+    pos = 12 + 8 * n_layers
+    if len(data) < pos:
+        raise ValueError(f"{path}: truncated checkpoint shape table "
+                         f"({len(data)} bytes, {n_layers} layers need {pos})")
+    shapes = [struct.unpack_from("<II", data, 12 + 8 * i)
+              for i in range(n_layers)]
     expected = pos + 8 * sum(o * i + o for o, i in shapes)
     if len(data) != expected:
         raise ValueError(f"{path}: truncated checkpoint "
@@ -408,4 +413,7 @@ def load_checkpoint(path) -> ParamStore:
         b = np.frombuffer(data, dtype="<f8", count=out_dim, offset=pos).copy()
         pos += 8 * out_dim
         layers.append((W, b))
-    return ParamStore(layers)
+    try:
+        return ParamStore(layers)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -288,7 +288,7 @@ def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
     """
     acc = None
     for order, coord, coeff in operator_terms(p, points):
-        term = F.d1[..., coord] if order == 1 else F.d2[..., coord]
+        term = F.d1[coord] if order == 1 else F.d2[coord]
         if np.ndim(coeff):
             coeff = np.reshape(coeff, coeff.shape + (1,) * (term.ndim - 1))
         if coeff is not None:

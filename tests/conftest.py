@@ -35,18 +35,19 @@ def fd_jet(value_fn, pts, h=1e-4):
     """Central-difference first/second derivative oracle.
 
     ``value_fn(points) -> values`` evaluated around ``pts`` of shape (n, d);
-    returns (d1, d2) of shape (n, d).  Independent of the jet engine.
+    returns (d1, d2) of shape (d, n), derivative slot first like ``Jet2``.
+    Independent of the jet engine.
     """
     pts = np.asarray(pts, dtype=np.float64)
     v0 = value_fn(pts)
-    d1 = np.empty_like(pts)
-    d2 = np.empty_like(pts)
+    d1 = np.empty(pts.shape[::-1])
+    d2 = np.empty(pts.shape[::-1])
     for k in range(pts.shape[1]):
         e = np.zeros(pts.shape[1])
         e[k] = h
         vp, vm = value_fn(pts + e), value_fn(pts - e)
-        d1[:, k] = (vp - vm) / (2.0 * h)
-        d2[:, k] = (vp - 2.0 * v0 + vm) / h ** 2
+        d1[k] = (vp - vm) / (2.0 * h)
+        d2[k] = (vp - 2.0 * v0 + vm) / h ** 2
     return d1, d2
 
 

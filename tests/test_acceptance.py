@@ -223,10 +223,10 @@ def test_criterion_7_property_suite():
     # fuse bilinearity
     qpts = rng.uniform(-3, 3, size=(20, 1))
     dwords = eval_dictionary(DictionarySpec("fourier1d", k=3), qpts)
-    n1 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(20, 7, 1)),
-              rng.normal(size=(20, 7, 1)))
-    n2 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(20, 7, 1)),
-              rng.normal(size=(20, 7, 1)))
+    n1 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(1, 20, 7)),
+              rng.normal(size=(1, 20, 7)))
+    n2 = Jet2(rng.normal(size=(20, 7)), rng.normal(size=(1, 20, 7)),
+              rng.normal(size=(1, 20, 7)))
     lhs = fuse(dwords, n1 * 0.6 + n2 * (-1.7))
     rhs_ = fuse(dwords, n1) * 0.6 + fuse(dwords, n2) * (-1.7)
     for a, b in ((lhs.value, rhs_.value), (lhs.d1, rhs_.d1), (lhs.d2, rhs_.d2)):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pdpinn import cli, config, problems, training
-from pdpinn.bounds import BoundReport, verify_bound
+from pdpinn.bounds import (BoundReport, estimate_regularity, parse_domain,
+                           verify_bound)
 from pdpinn.dictionaries import DictionarySpec
 from pdpinn.network import load_checkpoint
 
@@ -416,6 +418,13 @@ class TestRegularityCommand:
         assert rc == 2
         assert "interval field b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domain", ["disk:0,0,1", "box:0,1,0,1,0,1"])
+    def test_default_grid_is_the_library_default(self, capsys, domain):
+        rc = cli.main(["regularity", "--domain", domain, "--mc-points", "500"])
+        assert rc == 0
+        want = estimate_regularity(parse_domain(domain), mc_points=500)
+        assert capsys.readouterr().out == f"{want:.6f}\n"
+
     @pytest.mark.parametrize("flag", ["--grid", "--mc-points"])
     def test_zero_grid_or_samples_exits_2(self, capsys, flag):
         rc = cli.main(["regularity", "--domain", "interval:0,1", flag, "0"])
@@ -423,6 +432,40 @@ class TestRegularityCommand:
         assert rc == 2
         assert flag.lstrip("-").replace("-", "_") in captured.err
         assert captured.out == ""
+
+
+# malformed checkpoint files behind valid magic bytes, and the message
+# each one gives
+MALFORMED_CHECKPOINTS = {
+    "magic-only": (b"MLPC", "truncated checkpoint header"),
+    "short-shape-table": (b"MLPC" + struct.pack("<II", 1, 1000)
+                          + struct.pack("<II", 17, 50),
+                          "truncated checkpoint shape table"),
+    "zero-layers": (b"MLPC" + struct.pack("<II", 1, 0),
+                    "checkpoint has no layers"),
+    "unchained-layers": (b"MLPC" + struct.pack("<IIIIII", 1, 2, 3, 1, 1, 2)
+                         + bytes(8 * (3 + 3 + 2 + 1)),
+                         "layer 1: fan-in 2 does not chain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+@pytest.mark.parametrize("command", [
+    ["dump-grid", "--problem", "poisson1d", "--dictionary", "fourier1d:8"],
+    ["bounds", "--problem", "poisson1d", "--dictionary", "fourier1d:8"]],
+    ids=["dump-grid", "bounds"])
+def test_malformed_checkpoint_exits_2_naming_the_file(tmp_path, capsys,
+                                                      command, case):
+    data, message = MALFORMED_CHECKPOINTS[case]
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(data)
+    out = tmp_path / "out"
+    rc = cli.main(command + ["--checkpoint", str(ckpt), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {ckpt}: {message}")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestBoundsCommand:

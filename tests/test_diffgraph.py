@@ -5,12 +5,51 @@ from hypothesis import strategies as st
 
 from pdpinn import diffgraph as dg
 from pdpinn.diffgraph import Jet2, JetDomainError, NonFiniteError, ParamStore
+from pdpinn.network import SlotLayout
 
 from conftest import agree, fd_jet, fd_loss_gradient
 
 
 def scalar_jet(x):
     return Jet2.seed(np.array([[x]])).component(0)
+
+
+class TestLayout:
+    """Every jet keeps its derivative slots first: d1[k] is shaped like
+    the value."""
+
+    def test_seed_slots_are_the_unit_fields(self, rng):
+        pts = rng.uniform(-1.0, 1.0, size=(6, 3))
+        x = Jet2.seed(pts)
+        assert x.dim == x.d1.shape[0] == 3
+        assert x.d1.shape == x.d2.shape == (3, 6, 3)
+        for k in range(3):
+            unit = np.zeros((6, 3))
+            unit[:, k] = 1.0
+            assert np.array_equal(x.d1[k], unit)
+        assert np.all(x.d2 == 0.0)
+
+    def test_component_stack_and_sum_keep_the_slot_axis_first(self, rng):
+        x = Jet2.seed(rng.uniform(-1.0, 1.0, size=(5, 2)))
+        c = x.component(1)
+        assert c.d1.shape == (2, 5)
+        assert np.array_equal(c.d1[1], np.ones(5))
+        s = dg.stack_jets([c, x.component(0), c])
+        assert s.value.shape == (5, 3)
+        assert s.d1.shape == s.d2.shape == (2, 5, 3)
+        assert np.array_equal(s.d1[0, :, 1], np.ones(5))
+        total = dg.sum_words(s)
+        assert total.d1.shape == (2, 5)
+        assert np.array_equal(total.d1, [np.ones(5), 2.0 * np.ones(5)])
+
+    def test_pack_stacks_the_selected_slots(self, rng):
+        jet = Jet2(rng.normal(size=(4, 7)), rng.normal(size=(3, 4, 7)),
+                   rng.normal(size=(3, 4, 7)))
+        op = rng.normal(size=(4, 7))
+        for d1 in ((0, 1, 2), (2, 0), ()):
+            layout = SlotLayout(("x", "y", "z"), d1=d1, operator=True)
+            assert np.array_equal(layout.pack(jet, op),
+                                  np.stack([jet.value, *jet.d1[list(d1)], op]))
 
 
 class TestPrimitives:

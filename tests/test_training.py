@@ -188,8 +188,8 @@ class TestPredictError:
         batch = SampleBatch(pts, "interior")
         with np.errstate(over="ignore", invalid="ignore"):
             out = mlp_forward(store.layers, Jet2.seed(pts))
-            bad = ~(np.isfinite(out.value) & np.isfinite(out.d1)
-                    & np.isfinite(out.d2))[:, 0]
+            bad = ~(np.isfinite(out.value) & np.isfinite(out.d1[0])
+                    & np.isfinite(out.d2[0]))[:, 0]
         assert 0 < bad.sum() < len(pts)
         first = pts[np.argmax(bad)]
         # a pool whose arrays a finite pass on the same shapes filled
@@ -333,7 +333,7 @@ class TestSlotPass:
         want = apply_operator(p, jets, pts)
         assert F.shape == (2 + len(layout.d1), len(pts))
         assert np.max(np.abs(F[-1] - want)) <= 1e-12 * np.max(np.abs(want))
-        d1 = jets.d1[:, list(layout.d1)].T
+        d1 = jets.d1[list(layout.d1)]
         assert np.max(np.abs(F[1:-1] - d1)) <= 1e-12 * np.max(np.abs(d1))
         assert np.array_equal(F[0], jets.value)
 
