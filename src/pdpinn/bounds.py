@@ -19,14 +19,17 @@ import numpy as np
 
 from .dictionaries import DictionarySpec
 from .network import VALUES, SlotLayout
-from .problems import (ProblemSpec, boundary_value, ground_truth,
+from .problems import (ProblemSpec, _near, boundary_value, ground_truth,
                        ground_truth_jet, rhs)
 from .sampling import sample_boundary, sample_interior
-from .training import operator_layout, pack_slots, predictor_fields
+from .training import (_map_in_order, operator_layout, pack_slots,
+                       predictor_fields_many)
 
 # sup refinement: local grid points and its radius as a domain fraction
 _REFINE_POINTS = 1000
 _REFINE_FRACTION = 0.01
+# sample of each Lipschitz estimate
+_LIPSCHITZ_POINTS = 10_000
 
 
 class UnsupportedDomainError(ValueError):
@@ -155,13 +158,21 @@ def _check_arity(kind: str, vals, names) -> None:
 # Regularity constant
 # --------------------------------------------------------------------------
 
-def _unit_ball_points(dim, n, rng):
-    """Uniform sample inside the unit ball; rescale to any radius."""
-    if dim == 1:
-        return rng.uniform(-1.0, 1.0, size=(n, 1))
-    dirs = rng.normal(size=(n, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return dirs * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / dim)
+def _unit_ball_draws(dim, n, rng):
+    """The random numbers of ``n`` unit-ball points, drawn in this order:
+    normal directions (n, dim), then uniform radii (n, 1)."""
+    return rng.normal(size=(n, dim)), rng.uniform(0.0, 1.0, size=(n, 1))
+
+
+def _unit_ball_points(dirs, u):
+    """Uniform sample inside the unit ball from ``_unit_ball_draws``;
+    rescale to any radius.  Normalises ``dirs`` in place.
+
+    The norms are summed one column at a time, in the order
+    ``np.linalg.norm(axis=1)`` sums a row, so the points are its bitwise.
+    """
+    dirs /= np.sqrt(functools.reduce(np.add, (d * d for d in dirs.T)))[:, None]
+    return dirs * u ** (1.0 / dirs.shape[1])
 
 
 def _exit_radii(domain, center, raw):
@@ -175,7 +186,8 @@ def _exit_radii(domain, center, raw):
         face = np.where(raw > 0, np.subtract(domain.hi, center),
                         np.subtract(domain.lo, center))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(raw == 0.0, np.inf, face / raw).min(axis=1)
+            hits = np.where(raw == 0.0, np.inf, face / raw)
+        return functools.reduce(np.minimum, hits.T)
     # disk: larger root of a r^2 + 2 b r + c = 0, i.e. |d + r u|^2 = R^2
     d = np.subtract(center, (domain.cx, domain.cy))
     a = np.einsum("ij,ij->i", raw, raw)
@@ -219,7 +231,10 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
     the exact corner value; everything else is Monte Carlo with at least
     ``mc_points`` draws per center, shared across radii: each draw's exit
     radius is taken in closed form and sorted once, and one search counts
-    the draws inside the ball of every radius.
+    the draws inside the ball of every radius.  The calling thread draws
+    every center's random numbers in order while the chunk pool works on
+    earlier centers, at most two centers per usable CPU ahead of the
+    results, so the result is the serial loop's bit for bit.
     """
     if not isinstance(domain, (Interval, Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
@@ -247,17 +262,19 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
     volume = ball_volume(dim, radii)
     cap = np.minimum(domain.measure, volume)
 
-    best = 1.0
-    for center in centers:
-        if isinstance(domain, Interval):
-            best = min(best, *(_interval_ratio(domain, center[0], r)
-                               for r in radii))
-            continue
-        raw = _unit_ball_points(dim, mc_points, rng)
-        exits = np.sort(_exit_radii(domain, center, raw))
+    if isinstance(domain, Interval):
+        return float(min(1.0, *(_interval_ratio(domain, center[0], r)
+                                for center in centers for r in radii)))
+
+    def ratio(draws):
+        center, dirs, u = draws
+        exits = np.sort(_exit_radii(domain, center, _unit_ball_points(dirs, u)))
         # a draw is inside the ball of radius r unless it exits before r
         frac = (mc_points - np.searchsorted(exits, radii, side="left")) / mc_points
-        best = min(best, float(np.min(frac * volume / cap)))
+        return float(np.min(frac * volume / cap))
+
+    best = min(1.0, *_map_in_order(ratio, (
+        (center, *_unit_ball_draws(dim, mc_points, rng)) for center in centers)))
     if isinstance(domain, Box):
         # exact corner value for radii up to the shortest side
         best = min(best, 0.5 ** domain.dim)
@@ -268,7 +285,72 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
 # Lipschitz and discrepancy estimates
 # --------------------------------------------------------------------------
 
-def estimate_lipschitz(f, lo, hi, n: int = 10_000, seed: int = 0) -> float:
+def _lockstep(fields, *estimates) -> list:
+    """Run estimates side by side and return their results.
+
+    An estimate is a generator: it yields a list of ``(points, layout)``
+    field requests, receives their fields in request order and returns its
+    result.  Each round sends the requests of every estimate still running
+    to one ``fields(requests)`` call, so they share one pool map.
+    """
+    results = [None] * len(estimates)
+    replies = dict.fromkeys(range(len(estimates)))
+    while replies:
+        asked = {}
+        for i, reply in replies.items():
+            try:
+                asked[i] = estimates[i].send(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not asked:
+            break
+        got = iter(fields([r for requests in asked.values() for r in requests]))
+        replies = {i: [next(got) for _ in requests]
+                   for i, requests in asked.items()}
+    return results
+
+
+def _fields(store, p: ProblemSpec, dspec: DictionarySpec, lift: bool,
+            predictor_fn):
+    """``fields(requests)``: the predictor's slots packed by the layout of
+    each ``(points, layout)`` request, shape (slots, n) each.
+
+    The stored network runs the forward-only slot pass carrying the slots
+    of each layout alone, the chunks of every request in one pool map; the
+    jets of ``predictor_fn(points) -> Jet2`` are packed the same way.
+    """
+    if predictor_fn is not None:
+        return lambda requests: [pack_slots(p, layout, predictor_fn(points),
+                                            points)
+                                 for points, layout in requests]
+    return lambda requests: predictor_fields_many(store, p, dspec, requests,
+                                                  lift)
+
+
+def _cloud_offsets(lo, hi, rng, n: int = _REFINE_POINTS):
+    """Offsets of a refinement cloud around an arg-max, which they do not
+    depend on: each estimate draws them before its arg-max is known."""
+    return rng.uniform(-1.0, 1.0, size=(n, lo.size)) * ((hi - lo) * _REFINE_FRACTION)
+
+
+def _lipschitz(gradients, lo, hi, n: int, seed: int):
+    """``estimate_lipschitz`` as an estimate for ``_lockstep``:
+    ``gradients(points)`` is a generator that yields its field requests and
+    returns the gradients."""
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    pts = rng.uniform(lo, hi, size=(n, lo.size))
+    offsets = _cloud_offsets(lo, hi, rng)
+    norms = np.linalg.norm((yield from gradients(pts)), axis=1)
+    best_idx = int(np.argmax(norms))
+    local = np.clip(pts[best_idx] + offsets, lo, hi)
+    local_norms = np.linalg.norm((yield from gradients(local)), axis=1)
+    return max(float(norms[best_idx]), float(np.max(local_norms)))
+
+
+def estimate_lipschitz(f, lo, hi, n: int = _LIPSCHITZ_POINTS,
+                       seed: int = 0) -> float:
     """Largest gradient norm of a scalar field over a box, sampled.
 
     ``f(points) -> gradients`` maps points (m, d) to the field's gradients
@@ -276,55 +358,69 @@ def estimate_lipschitz(f, lo, hi, n: int = 10_000, seed: int = 0) -> float:
     grid around the arg-max sharpens the estimate; the result is a lower
     estimate of the true constant.
     """
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    pts = rng.uniform(lo, hi, size=(n, lo.size))
-    norms = np.linalg.norm(f(pts), axis=1)
-    best_idx = int(np.argmax(norms))
-    best = float(norms[best_idx])
-    local = _refine_cloud(pts[best_idx], lo, hi, rng)
-    return max(best, float(np.max(np.linalg.norm(f(local), axis=1))))
-
-
-def _refine_cloud(center, lo, hi, rng, n: int = _REFINE_POINTS):
-    radius = (hi - lo) * _REFINE_FRACTION
-    pts = center + rng.uniform(-1.0, 1.0, size=(n, lo.size)) * radius
-    return np.clip(pts, lo, hi)
-
-
-def _predictor(store, p: ProblemSpec, dspec: DictionarySpec, lift: bool,
-               predictor_fn):
-    """``fields(points, layout)``: the predictor's slots packed by
-    ``layout``, shape (slots, n).
-
-    The stored network runs the forward-only slot pass carrying the slots of
-    ``layout`` alone; the jets of ``predictor_fn(points) -> Jet2`` are
-    packed the same way.
-    """
-    if predictor_fn is not None:
-        return lambda points, layout: pack_slots(p, layout, predictor_fn(points),
-                                                 points)
-    return lambda points, layout: predictor_fields(store, p, dspec, points,
-                                                   lift, layout)
-
-
-def _residual(p: ProblemSpec, fields):
-    """PDE residual at points, read from the operator slot."""
-    layout = operator_layout(p)
-    return lambda points: fields(points, layout)[-1] - rhs(p, points)
-
-
-def _central_gradients(f, h: float = 1e-4):
-    """``points -> gradients`` of a scalar field by central differences."""
     def gradients(points):
-        grads = np.empty_like(points)
-        for k in range(points.shape[1]):
-            e = np.zeros(points.shape[1])
+        return f(points)
+        yield                           # a generator that requests no fields
+
+    return _lockstep(None, _lipschitz(gradients, lo, hi, n, seed))[0]
+
+
+def _residual_gradients(p: ProblemSpec, h: float = 1e-4):
+    """``gradients(points)`` of the PDE residual by central differences,
+    for ``_lipschitz``: one request per shifted point set, read from the
+    operator slot."""
+    layout = operator_layout(p)
+
+    def gradients(points):
+        shifted = []
+        for k in range(p.dim):
+            e = np.zeros(p.dim)
             e[k] = h
-            grads[:, k] = (f(points + e) - f(points - e)) / (2.0 * h)
+            shifted += [points + e, points - e]
+        F = yield [(q, layout) for q in shifted]
+        r = [f[-1] - rhs(p, q) for f, q in zip(F, shifted)]
+        grads = np.empty_like(points)
+        for k in range(p.dim):
+            grads[:, k] = (r[2 * k] - r[2 * k + 1]) / (2.0 * h)
         return grads
     return gradients
+
+
+def _sup_deltas(p: ProblemSpec, n_interior: int, n_boundary: int, seed: int):
+    """``estimate_sup_deltas`` as an estimate for ``_lockstep``."""
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(p.lo)
+    hi = np.asarray(p.hi)
+    layout = operator_layout(p)
+    ipts = sample_interior(p, n_interior, rng).points
+    offsets = _cloud_offsets(lo, hi, rng)
+    bpts = sample_boundary(p, n_boundary, rng).points
+    F_res, F_mis = yield [(ipts, layout), (bpts, VALUES)]
+    res = np.abs(F_res[-1] - rhs(p, ipts))
+    mis = np.abs(F_mis[0] - boundary_value(p, bpts))
+
+    k = int(np.argmax(res))
+    local = np.clip(ipts[k] + offsets, lo, hi)
+    requests = [(local, layout)]
+    j = int(np.argmax(mis))
+    if p.dim == 2:
+        # refine along the edge of the square through the arg-max
+        x0 = bpts[j]
+        axis = 0 if _near(x0[1], lo[1]) or _near(x0[1], hi[1]) else 1
+        radius = (hi[axis] - lo[axis]) * _REFINE_FRACTION
+        along = np.linspace(max(lo[axis], x0[axis] - radius),
+                            min(hi[axis], x0[axis] + radius), _REFINE_POINTS)
+        edge = np.tile(x0, (_REFINE_POINTS, 1))
+        edge[:, axis] = along
+        requests.append((edge, VALUES))
+    F = yield requests
+    d2_sup = max(float(res[k]),
+                 float(np.max(np.abs(F[0][-1] - rhs(p, local)))))
+    d1_sup = float(mis[j])
+    if p.dim == 2:
+        d1_sup = max(d1_sup, float(np.max(
+            np.abs(F[1][0] - boundary_value(p, edge)))))
+    return d1_sup, d2_sup, float(np.mean(mis)), float(np.mean(res))
 
 
 def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
@@ -340,42 +436,25 @@ def estimate_sup_deltas(store, p: ProblemSpec, dspec: DictionarySpec,
     solution this way to validate the whole pipeline.
     """
     _check_bound_applies(p)
+    return _lockstep(_fields(store, p, dspec, lift, predictor_fn),
+                     _sup_deltas(p, n_interior, n_boundary, seed))[0]
+
+
+def _observed_error(p: ProblemSpec, n: int, seed: int):
+    """Sampled sup of |F - u| with arg-max refinement, as an estimate for
+    ``_lockstep``."""
     rng = np.random.default_rng(seed)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
-    fields = _predictor(store, p, dspec, lift, predictor_fn)
-    residual = _residual(p, fields)
-
-    def residual_abs(points):
-        return np.abs(residual(points))
-
-    def mismatch_abs(points):
-        return np.abs(fields(points, VALUES)[0] - boundary_value(p, points))
-
-    ipts = sample_interior(p, n_interior, rng).points
-    res = residual_abs(ipts)
-    d2_exp = float(np.mean(res))
-    k = int(np.argmax(res))
-    local = _refine_cloud(ipts[k], lo, hi, rng)
-    d2_sup = max(float(res[k]), float(np.max(residual_abs(local))))
-
-    bpts = sample_boundary(p, n_boundary, rng).points
-    mis = mismatch_abs(bpts)
-    d1_exp = float(np.mean(mis))
-    k = int(np.argmax(mis))
-    if p.dim == 2:
-        # refine along the edge of the square through the arg-max
-        x0 = bpts[k]
-        axis = 0 if np.isclose(x0[1], lo[1]) or np.isclose(x0[1], hi[1]) else 1
-        radius = (hi[axis] - lo[axis]) * _REFINE_FRACTION
-        along = np.linspace(max(lo[axis], x0[axis] - radius),
-                            min(hi[axis], x0[axis] + radius), _REFINE_POINTS)
-        local = np.tile(x0, (_REFINE_POINTS, 1))
-        local[:, axis] = along
-        d1_sup = max(float(mis[k]), float(np.max(mismatch_abs(local))))
-    else:
-        d1_sup = float(np.max(mis))
-    return d1_sup, d2_sup, d1_exp, d2_exp
+    ipts = sample_interior(p, n, rng).points
+    offsets = _cloud_offsets(lo, hi, rng)
+    F, = yield [(ipts, VALUES)]
+    errs = np.abs(F[0] - ground_truth(p, ipts))
+    k = int(np.argmax(errs))
+    local = np.clip(ipts[k] + offsets, lo, hi)
+    F, = yield [(local, VALUES)]
+    return max(float(errs[k]),
+               float(np.max(np.abs(F[0] - ground_truth(p, local)))))
 
 
 # --------------------------------------------------------------------------
@@ -466,7 +545,7 @@ def _square_perimeter_regularity(half: float, grid: int = 48,
     Same ratio as ``estimate_regularity`` but intersecting balls with the
     1-D perimeter while keeping the printed ambient-dimension ball volume.
     Each center's sample distances are sorted once and counted at every
-    radius with one search.
+    radius with one search; the centers run on the chunk pool.
     """
     rng = np.random.default_rng(seed)
     total = 8.0 * half
@@ -481,13 +560,13 @@ def _square_perimeter_regularity(half: float, grid: int = 48,
         crossover * np.linspace(0.8, 1.2, 9),
     ]))
     cap = np.minimum(total, math.pi * radii ** 2)
-    best = 1.0
-    for c in centers:
+
+    def ratio(c):
         # the Euclidean distance of every sample from c
         d = np.sort(np.sqrt((px - c[0]) ** 2 + (py - c[1]) ** 2))
         arc = np.searchsorted(d, radii, side="right") / n * total
-        best = min(best, float(np.min(arc / cap)))
-    return float(best)
+        return float(np.min(arc / cap))
+    return float(min(1.0, *_map_in_order(ratio, centers)))
 
 
 def _perimeter_points(u, half: float) -> np.ndarray:
@@ -534,24 +613,26 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
     the mean, which replaces the Lipschitz conversion (regularity 1 under
     counting measure).  Warns loudly if either bound is violated.
     """
-    fields = _predictor(store, p, dspec, lift, predictor_fn)
-    residual = _residual(p, fields)
-    d1_sup, d2_sup, d1_exp, d2_exp = estimate_sup_deltas(
-        store, p, dspec, lift, n_interior, n_boundary, seed, predictor_fn)
-
-    rng = np.random.default_rng(seed + 1)
+    _check_bound_applies(p)
     lo = np.asarray(p.lo)
     hi = np.asarray(p.hi)
     gradient_layout = SlotLayout(p.coord_names)
 
     def mismatch_gradients(points):
         # the boundary field is F - u, so its gradient is F' - u'
-        return (fields(points, gradient_layout)[1:]
-                - ground_truth_jet(p, points).d1).T
+        F, = yield [(points, gradient_layout)]
+        return (F[1:] - ground_truth_jet(p, points).d1).T
 
-    lip = max(estimate_lipschitz(mismatch_gradients, lo, hi, seed=seed + 2),
-              estimate_lipschitz(_central_gradients(residual), lo, hi,
-                                 seed=seed + 3))
+    # every main sample in one pool map, then every refinement cloud
+    (d1_sup, d2_sup, d1_exp, d2_exp), lip_mismatch, lip_residual, observed = \
+        _lockstep(_fields(store, p, dspec, lift, predictor_fn),
+                  _sup_deltas(p, n_interior, n_boundary, seed),
+                  _lipschitz(mismatch_gradients, lo, hi, _LIPSCHITZ_POINTS,
+                             seed + 2),
+                  _lipschitz(_residual_gradients(p), lo, hi, _LIPSCHITZ_POINTS,
+                             seed + 3),
+                  _observed_error(p, n_interior, seed + 1))
+    lip = max(lip_mismatch, lip_residual)
 
     side = hi - lo
     slab_width = float(side.min())     # planes this far apart enclose the box
@@ -565,13 +646,6 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
 
     bound_sup = poisson_bound(d1_sup, d2_sup, slab_width)
     bound_exp = poisson_bound(td1, td2, slab_width)
-
-    ipts = sample_interior(p, n_interior, rng).points
-    errs = np.abs(fields(ipts, VALUES)[0] - ground_truth(p, ipts))
-    k = int(np.argmax(errs))
-    local = _refine_cloud(ipts[k], lo, hi, rng)
-    local_errs = np.abs(fields(local, VALUES)[0] - ground_truth(p, local))
-    observed = max(float(errs[k]), float(np.max(local_errs)))
 
     report = BoundReport(
         problem=p.id,

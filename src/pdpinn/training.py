@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import contextvars
+import itertools
 import math
 import os
 import threading
@@ -228,18 +230,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_chunk_pool)
 
 
-def _map_in_order(fn, args: list) -> list:
+def _map_in_order(fn, args) -> list:
     """``[fn(a) for a in args]``, on the process's chunk pool when there
     are two usable CPUs and two arguments to share.
 
+    ``args`` may be any iterable, read lazily on the calling thread: at
+    most two arguments per usable CPU are in flight, the one being read
+    included, so a stream of large arguments never piles up in memory.
     Each call runs under a copy of the caller's context, so numpy's error
     state (a context variable) is the caller's.  The first failure in
     argument order is raised once the calls after it are cancelled or
     finished.
     """
     workers = _usable_cpus()
-    if min(workers, len(args)) < 2:
+    if workers < 2:
         return [fn(a) for a in args]
+    stream = iter(args)
+    head = list(itertools.islice(stream, 2))
+    if len(head) < 2:
+        return [fn(a) for a in head]
     global _chunk_pool
     with _chunk_pool_lock:
         if _chunk_pool is None:
@@ -247,10 +256,20 @@ def _map_in_order(fn, args: list) -> list:
             _chunk_pool = ThreadPoolExecutor(max_workers=workers,
                                              thread_name_prefix="pdpinn-chunk")
         pool = _chunk_pool
-    futures = [pool.submit(contextvars.copy_context().run, fn, a)
-               for a in args]
+    results, futures = [], collections.deque()
+
+    def submit(a):
+        futures.append(pool.submit(contextvars.copy_context().run, fn, a))
+        if len(futures) == 2 * workers:
+            results.append(futures.popleft().result())
+
     try:
-        return [f.result() for f in futures]
+        while head:                     # the list must not keep them alive
+            submit(head.pop(0))
+        for a in stream:
+            submit(a)
+        while futures:
+            results.append(futures.popleft().result())
     except BaseException:
         for f in futures:
             f.cancel()
@@ -258,6 +277,33 @@ def _map_in_order(fn, args: list) -> list:
             if not f.cancelled():
                 f.exception()           # waits for a running call
         raise
+    return results
+
+
+def predictor_fields_many(store: ParamStore, p: ProblemSpec,
+                          dspec: DictionarySpec, requests, lift: bool) -> list:
+    """``predictor_fields`` of each ``(points, layout)`` request, the chunks
+    of every request in one pool map.
+
+    Each request is chunked from its own row 0, so its fields are bitwise
+    those of its own call; a NaN/Inf report names the row of its points,
+    and the lowest failing chunk in request order is raised.
+    """
+    def chunk(arg):
+        points, layout, start = arg
+        pts = points[start:start + FORWARD_CHUNK]
+        return _slot_pass(store, layout,
+                          predictor_slots(p, dspec, pts, lift, layout),
+                          points, start, retain=False).F
+
+    counts = [len(range(0, len(points), FORWARD_CHUNK))
+              for points, _ in requests]
+    parts = iter(_map_in_order(chunk, [
+        (points, layout, start) for points, layout in requests
+        for start in range(0, len(points), FORWARD_CHUNK)]))
+    return [np.concatenate([next(parts) for _ in range(count)], axis=1)
+            if count else np.empty((layout.slots, 0))
+            for count, (_, layout) in zip(counts, requests)]
 
 
 def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
@@ -269,16 +315,7 @@ def predictor_fields(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
     Runs ``FORWARD_CHUNK`` points at a time, the chunks concurrently on one
     thread per usable CPU; a NaN/Inf report names the row of ``points``.
     """
-    def chunk(start):
-        pts = points[start:start + FORWARD_CHUNK]
-        return _slot_pass(store, layout,
-                          predictor_slots(p, dspec, pts, lift, layout),
-                          points, start, retain=False).F
-
-    starts = list(range(0, len(points), FORWARD_CHUNK))
-    if not starts:
-        return np.empty((layout.slots, 0))
-    return np.concatenate(_map_in_order(chunk, starts), axis=1)
+    return predictor_fields_many(store, p, dspec, [(points, layout)], lift)[0]
 
 
 def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -13,7 +15,7 @@ from pdpinn.bounds import (Box, BoundReport, Disk, Interval,
                            estimate_sup_deltas, parse_domain, poisson_bound,
                            tilde_delta, verify_bound)
 from pdpinn.diffgraph import Jet2
-from pdpinn.problems import ground_truth_jet
+from pdpinn.problems import apply_operator, ground_truth_jet
 from pdpinn.training import FORWARD_CHUNK, TrainSettings, predictor_jets, train
 
 
@@ -118,7 +120,8 @@ class TestRegularity:
         rng = np.random.default_rng(seed)
         radii = diameter * np.geomspace(1e-3, 1.05, 40)
         for center in bounds._center_grid(domain, grid):
-            raw = bounds._unit_ball_points(domain.dim, 2000, rng)
+            raw = bounds._unit_ball_points(
+                *bounds._unit_ball_draws(domain.dim, 2000, rng))
             exits = np.sort(bounds._exit_radii(domain, center, raw))
             got = len(raw) - np.searchsorted(exits, radii, side="left")
             want = [np.count_nonzero(brute_inside(domain, center + raw * r))
@@ -140,6 +143,49 @@ class TestRegularity:
             for r in radii:
                 want = min(want, np.mean(d <= r) * total / min(total, math.pi * r ** 2))
         assert bounds._square_perimeter_regularity(half) == float(want)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("domain", [
+        Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        Box((-10.0, -10.0), (10.0, 10.0)),
+        Disk(0.5, -1.0, 2.0),
+    ])
+    def test_estimate_is_bitwise_under_any_worker_count(self, chunk_workers,
+                                                        domain, seed):
+        results = []
+        for workers in (1, None, 3):
+            chunk_workers(workers)
+            results.append(estimate_regularity(domain, mc_points=4_000,
+                                               seed=seed))
+        assert results[0] == results[1] == results[2]
+
+    def test_perimeter_estimate_is_bitwise_under_any_worker_count(
+            self, chunk_workers):
+        results = []
+        for workers in (1, None, 3):
+            chunk_workers(workers)
+            results.append(bounds._square_perimeter_regularity(10.0))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_two_centers_per_cpu_hold_their_draws(
+            self, chunk_workers, monkeypatch, workers):
+        chunk_workers(workers)
+        drawn, alive = [], []
+        original = bounds._unit_ball_draws
+
+        def counted(dim, n, rng):
+            draws = original(dim, n, rng)
+            alive.append(sum(ref() is not None for ref in drawn))
+            drawn.extend(weakref.ref(a) for a in draws)
+            return draws
+
+        monkeypatch.setattr(bounds, "_unit_ball_draws", counted)
+        estimate_regularity(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                            mc_points=2_000)
+        assert len(alive) == 64
+        # each center draws two arrays; the newest draw is not counted
+        assert max(alive) <= 2 * (2 * workers)
 
     def test_parse_domain_round_trips(self):
         assert parse_domain("interval:0,1") == Interval(0.0, 1.0)
@@ -238,6 +284,30 @@ class TestSupDeltas:
         assert d2s < 1e-10
         assert d2e < 1e-10
 
+    def test_boundary_argmax_near_a_corner_is_refined_along_its_edge(self):
+        # (10, 9.99995) lies on the edge x = 10, within 1e-4 of the corner:
+        # a relative tolerance would call it a point of the edge y = 10
+        corner = np.array([10.0, 9.99995])
+        base = problems.get("poisson2d")
+
+        def boundary(n, rng):
+            pts = base.sample_boundary(n, rng)
+            pts[0] = corner
+            return pts
+
+        p = dataclasses.replace(base, sample_boundary=boundary)
+
+        def bump(pts):
+            j = ground_truth_jet(p, pts)
+            peak = np.exp(-np.sum((pts - corner) ** 2, axis=1))
+            return Jet2(j.value + peak, j.d1, j.d2)
+
+        d1s, d2s, _, _ = estimate_sup_deltas(
+            None, p, p.dictionary, n_interior=500, n_boundary=100,
+            predictor_fn=bump)
+        assert d1s == pytest.approx(1.0, rel=1e-12)
+        assert d2s < 1e-7
+
 
 class TestVerifyBound:
     def test_oracle_injection_bounds_hold_trivially(self):
@@ -324,15 +394,31 @@ class TestVerifyBound:
         monkeypatch.setattr(training, "FORWARD_CHUNK", 4096)
         assert asdict(verify_bound(store, p, p.dictionary, seed=6)) == chunked
 
-    def test_report_is_bitwise_under_any_worker_count(self, chunk_workers):
-        p = problems.get("poisson2d")
+    @pytest.mark.parametrize("pid,iterations", [("poisson1d", 30),
+                                                 ("poisson2d", 3)])
+    def test_report_is_bitwise_under_any_worker_count(self, chunk_workers,
+                                                      pid, iterations):
+        p = problems.get(pid)
         _, store = train(p, p.dictionary, TrainSettings(
-            iterations=3, record_every=3, seed=4))
+            iterations=iterations, record_every=iterations, seed=4))
         chunk_workers(1)
         serial = asdict(verify_bound(store, p, p.dictionary, seed=6))
         for workers in (None, 3):
             chunk_workers(workers)
             assert asdict(verify_bound(store, p, p.dictionary, seed=6)) == serial
+
+    @pytest.mark.parametrize("pid,iterations", [("poisson1d", 30),
+                                                 ("poisson2d", 3)])
+    def test_sup_deltas_are_the_reports_deltas(self, pid, iterations):
+        p = problems.get(pid)
+        _, store = train(p, p.dictionary, TrainSettings(
+            iterations=iterations, record_every=iterations, seed=2))
+        report = verify_bound(store, p, p.dictionary, n_interior=3000,
+                              n_boundary=300, seed=9)
+        assert estimate_sup_deltas(store, p, p.dictionary, n_interior=3000,
+                                   n_boundary=300, seed=9) == (
+            report.delta1_sup, report.delta2_sup,
+            report.delta1_exp, report.delta2_exp)
 
     @pytest.mark.parametrize("slope", [0.0, 0.25])
     def test_lipschitz_constant_is_the_mismatch_slope(self, slope):
@@ -344,12 +430,15 @@ class TestVerifyBound:
             j = ground_truth_jet(p, pts)
             return Jet2(j.value + slope * pts[:, 0], j.d1 + slope, j.d2)
 
+        def residual_gradients(pts, h=1e-4):
+            # central differences of the residual L F - q, one coordinate
+            def residual(q):
+                return apply_operator(p, ramp(q), q) - problems.rhs(p, q)
+            return ((residual(pts + h) - residual(pts - h)) / (2.0 * h))[:, None]
+
         report = verify_bound(None, p, p.dictionary, n_interior=2000,
                               n_boundary=100, seed=5, predictor_fn=ramp)
-        residual = bounds._residual(
-            p, bounds._predictor(None, p, p.dictionary, False, ramp))
-        alone = estimate_lipschitz(bounds._central_gradients(residual),
-                                   p.lo, p.hi, seed=5 + 3)
+        alone = estimate_lipschitz(residual_gradients, p.lo, p.hi, seed=5 + 3)
         assert alone < 1e-6
         assert report.lipschitz_l == pytest.approx(max(slope, alone), rel=1e-12)
 

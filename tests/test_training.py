@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
@@ -466,6 +467,7 @@ class TestConcurrentChunks:
         chunk_workers(2)
         predictor_fields(store, p, p.dictionary, pts[:FORWARD_CHUNK], False,
                          VALUES)
+        assert training._map_in_order(lambda a: 2 * a, iter([4])) == [8]
         assert training._chunk_pool is None
         predictor_fields(store, p, p.dictionary, pts, False, VALUES)
         assert training._chunk_pool is not None
@@ -519,6 +521,92 @@ class TestConcurrentChunks:
             with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
                 predictor_fields(*args)
         assert [w.message for w in caught] == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lowest_failing_chunk_of_several_requests_is_raised(
+            self, chunk_workers, monkeypatch, workers):
+        chunk_workers(workers)
+        p = problems.get("poisson1d")
+        first = np.linspace(5.0, 9.0, 3 * FORWARD_CHUNK)[:, None]
+        second = np.linspace(5.0, 9.0, 2 * FORWARD_CHUNK)[:, None]
+        row = FORWARD_CHUNK + 700               # chunk 1 of the first request
+        first[row] = 0.05
+        second[5] = -0.02                       # chunk 0 of the second
+        # with threads, the first request fails only once the second has
+        second_failed = threading.Event()
+        original = training._slot_pass
+
+        def ordered(store, layout, slots, points, start=0, **kw):
+            if points is first and start == FORWARD_CHUNK and workers > 1:
+                assert second_failed.wait(timeout=30)
+            try:
+                return original(store, layout, slots, points, start, **kw)
+            except NonFiniteError:
+                if points is second:
+                    second_failed.set()
+                raise
+
+        monkeypatch.setattr(training, "_slot_pass", ordered)
+        layout = SlotLayout(("x",))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            training.predictor_fields_many(
+                overflowing_store(), p, DictionarySpec("none"),
+                [(first, layout), (second, layout)], False)
+        assert err.value.row == row
+        assert str(err.value).endswith("batch point [0.05]")
+
+    @pytest.mark.parametrize("workers", [1, None, 3])
+    def test_several_requests_are_bitwise_their_own_calls(self, chunk_workers,
+                                                          workers):
+        chunk_workers(workers)
+        p, dspec, lift, store = published_model("poisson2d", "dictionary")
+        sizes = (2 * FORWARD_CHUNK + 333, 0, 5, FORWARD_CHUNK)
+        layouts = (operator_layout(p), operator_layout(p), VALUES,
+                   SlotLayout(p.coord_names))
+        pts = sample_interior(p, sum(sizes), np.random.default_rng(8)).points
+        requests = list(zip(np.split(pts, np.cumsum(sizes)[:-1]), layouts))
+        got = training.predictor_fields_many(store, p, dspec, requests, lift)
+        assert len(got) == len(requests)
+        for F, (pts, layout) in zip(got, requests):
+            assert np.array_equal(
+                F, predictor_fields(store, p, dspec, pts, lift, layout))
+        assert got[1].shape == (operator_layout(p).slots, 0)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_stream_runs_under_the_callers_error_state(self, chunk_workers,
+                                                         workers):
+        chunk_workers(workers)
+        with np.errstate(over="raise", under="ignore"):
+            got = training._map_in_order(lambda _: np.geterr(),
+                                         (i for i in range(7)))
+        assert len(got) == 7
+        assert all(e["over"] == "raise" and e["under"] == "ignore"
+                   for e in got)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_stream_is_read_at_most_two_items_per_cpu_ahead(
+            self, chunk_workers, workers):
+        chunk_workers(workers)
+        read, done = [], []
+        lock = threading.Lock()
+
+        def stream():
+            for i in range(40):
+                with lock:
+                    # items read but not yet mapped
+                    read.append(i + 1 - len(done))
+                yield i
+
+        def slow(i):
+            time.sleep(0.002)
+            with lock:
+                done.append(i)
+            return i
+
+        assert training._map_in_order(slow, stream()) == list(range(40))
+        assert max(read) <= 2 * workers
+        assert max(read) > 1 or workers == 1
 
     def test_importing_pdpinn_leaves_the_pool_module_unloaded(self):
         src = os.path.dirname(os.path.dirname(training.__file__))
