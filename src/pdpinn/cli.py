@@ -42,8 +42,6 @@ def main(argv=None) -> int:
     grid_p.add_argument("--problem", required=True, choices=sorted(problems.PROBLEMS))
     grid_p.add_argument("--dictionary", required=True,
                         help="dictionary used at training time, e.g. fourier1d:8")
-    grid_p.add_argument("--no-lift", action="store_true",
-                        help="checkpoint was trained without coordinate lifting")
     grid_p.add_argument("--resolution", type=int, default=None,
                         help="grid points per axis (1000 for 1-D, else 200)")
     grid_p.add_argument("--out", required=True, help="output CSV path")
@@ -139,22 +137,24 @@ def _grid_points(p, resolution):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _load_matching_checkpoint(path, p, dspec: DictionarySpec, lift: bool):
-    """Load a checkpoint whose network shape fits the problem and dictionary."""
+def _load_matching_checkpoint(path, p, dspec: DictionarySpec):
+    """Load a checkpoint that fits the problem and dictionary: (store, lift).
+
+    A network with the lifted fan-in was trained on lifted coordinates."""
     store = load_checkpoint(path)
+    lift = p.lift and store.input_dim == training.network_input_dim(p, True)
     expect_in = training.network_input_dim(p, lift)
     if store.input_dim != expect_in or store.output_dim != dspec.word_count:
         raise ValueError(
             f"checkpoint shape ({store.input_dim} -> {store.output_dim}) does "
             f"not match problem/dictionary ({expect_in} -> {dspec.word_count})")
-    return store
+    return store, lift
 
 
 def _cmd_dump_grid(args) -> int:
     p = problems.get(args.problem)
     dspec = DictionarySpec.parse(args.dictionary)
-    lift = p.lift and dspec.kind != "none" and not args.no_lift
-    store = _load_matching_checkpoint(args.checkpoint, p, dspec, lift)
+    store, lift = _load_matching_checkpoint(args.checkpoint, p, dspec)
     pts = _grid_points(p, args.resolution)
     pred = predict_values(store, p, dspec, pts, lift)
     truth = ground_truth(p, pts)
@@ -173,8 +173,8 @@ def _cmd_bounds(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     p = problems.get(args.problem)
     dspec = DictionarySpec.parse(args.dictionary)
-    store = _load_matching_checkpoint(args.checkpoint, p, dspec, lift=False)
-    report = bounds.verify_bound(store, p, dspec, lift=False, seed=args.seed)
+    store, lift = _load_matching_checkpoint(args.checkpoint, p, dspec)
+    report = bounds.verify_bound(store, p, dspec, lift=lift, seed=args.seed)
     print(report.table())
     if args.out:
         with open(args.out, "w") as fh:

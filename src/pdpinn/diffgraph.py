@@ -92,13 +92,6 @@ class Jet2:
             d1[k, ..., k] = 1.0
         return Jet2(pts, d1, np.zeros_like(d1))
 
-    @staticmethod
-    def const(values, dim: int) -> "Jet2":
-        """A quantity with no dependence on the input coordinates."""
-        v = _as_f64(values)
-        z = np.zeros((dim,) + v.shape)
-        return Jet2(v, z, z.copy())
-
     def component(self, i: int) -> "Jet2":
         """Select entry i along the last value axis."""
         return Jet2(self.value[..., i], self.d1[..., i], self.d2[..., i])
@@ -154,38 +147,20 @@ def chain_univariate(x: Jet2, f, f1, f2) -> Jet2:
 
 
 def sin(x: Jet2):
-    if isinstance(x, TracedJet):
-        raise TypeError("sin is not a traced primitive; apply it to constant jets")
     s, c = np.sin(x.value), np.cos(x.value)
     return chain_univariate(x, s, c, -s)
 
 
 def cos(x: Jet2):
-    if isinstance(x, TracedJet):
-        raise TypeError("cos is not a traced primitive; apply it to constant jets")
     s, c = np.sin(x.value), np.cos(x.value)
     return chain_univariate(x, c, -s, -c)
 
 
 def powi(x: Jet2, p: int) -> Jet2:
-    """Integer power with exact derivative coefficients."""
-    if p != int(p):
-        raise JetDomainError("powi expects an integer exponent")
-    p = int(p)
-    if p < 0 and np.any(x.value == 0.0):
-        raise JetDomainError("zero base with negative integer exponent")
-    f = _ipow(x.value, p)
-    f1 = p * _ipow(x.value, p - 1) if p != 0 else np.zeros_like(x.value)
-    f2 = (p * (p - 1) * _ipow(x.value, p - 2)
-          if p not in (0, 1) else np.zeros_like(x.value))
-    return chain_univariate(x, f, f1, f2)
-
-
-def _ipow(v: np.ndarray, e: int) -> np.ndarray:
-    # v ** e for possibly negative e; only reached with nonzero v when e < 0.
-    if e >= 0:
-        return v ** e
-    return 1.0 / v ** (-e)
+    """x ** p for an integer p >= 2, with exact derivative coefficients."""
+    v = x.value
+    return chain_univariate(x, v ** p, p * v ** (p - 1),
+                            p * (p - 1) * v ** (p - 2))
 
 
 def tanh_derivs(v: np.ndarray):
@@ -348,39 +323,17 @@ class TracedArray(_Node):
     def _bump(self, g):
         self.g = g if self.g is None else self.g + g
 
-    def __add__(self, other):
-        if isinstance(other, TracedArray):
-            def bw(out):
-                self._bump(out.g)
-                other._bump(out.g)
-            return TracedArray(self.arr + other.arr, (self, other), bw, "add")
-
+    def __add__(self, other: "TracedArray") -> "TracedArray":
         def bw(out):
             self._bump(out.g)
-        return TracedArray(self.arr + other, (self,), bw, "add")
+            other._bump(out.g)
+        return TracedArray(self.arr + other.arr, (self, other), bw, "add")
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, TracedArray):
-            def bw(out):
-                self._bump(out.g)
-                other._bump(-out.g)
-            return TracedArray(self.arr - other.arr, (self, other), bw, "sub")
-
+    def __sub__(self, other) -> "TracedArray":
+        """Subtract a constant (an array or a scalar off the tape)."""
         def bw(out):
             self._bump(out.g)
         return TracedArray(self.arr - other, (self,), bw, "sub")
-
-    def __rsub__(self, other):
-        def bw(out):
-            self._bump(-out.g)
-        return TracedArray(other - self.arr, (self,), bw, "sub")
-
-    def __neg__(self):
-        def bw(out):
-            self._bump(-out.g)
-        return TracedArray(-self.arr, (self,), bw, "neg")
 
     def __mul__(self, other):
         if isinstance(other, TracedArray):

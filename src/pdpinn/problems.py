@@ -297,13 +297,9 @@ def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
     return acc
 
 
-def on_boundary_mask(p: ProblemSpec, pts: np.ndarray) -> np.ndarray:
-    return p.on_boundary(pts)
-
-
 def boundary_value(p: ProblemSpec, points) -> np.ndarray:
     """Prescribed data on the boundary (initial slab counts as boundary)."""
     pts = _pts(points)
-    if not np.all(on_boundary_mask(p, pts)):
+    if not np.all(p.on_boundary(pts)):
         raise ValueError(f"point not on the boundary of {p.id}")
     return p.boundary_data(pts)

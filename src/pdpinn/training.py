@@ -22,6 +22,7 @@ from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth
 from .sampling import SampleBatch, sample_boundary, sample_interior
 
 DIVERGENCE_LIMIT = 1e12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Points per forward-only pass, which bounds its memory on large batches.
 # Chunks of 4096 points spilled a layer's slot arrays (6.6 MB each for
@@ -52,9 +53,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def init(n_params: int, lr: float = 0.001) -> "AdamState":
@@ -391,12 +389,12 @@ def adam_step(state: AdamState, store: ParamStore, grad: np.ndarray) -> None:
     if grad.shape != state.m.shape:
         raise ValueError("gradient length does not match the optimizer state")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1 ** state.t)
-    vhat = state.v / (1.0 - state.beta2 ** state.t)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    mhat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    vhat = state.v / (1.0 - ADAM_BETA2 ** state.t)
     theta = store.flat()
-    theta -= state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    theta -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     store.set_flat(theta)
 
 

@@ -14,6 +14,7 @@ from pdpinn.training import operator_layout, pack_slots
 
 from conftest import agree, fd_jet
 import word_oracle
+from word_oracle import const_jet
 
 
 def seed2(pts):
@@ -377,14 +378,14 @@ class TestSphericalHarmonics:
 class TestFuse:
     def test_dot_product_value(self):
         words = fourier1d(2, [[0.0]])
-        net = Jet2.const(np.array([[0.5, -0.5, 1.0, 0.25, 2.0]]), 1)
+        net = const_jet(np.array([[0.5, -0.5, 1.0, 0.25, 2.0]]), 1)
         out = fuse(words, net)
         assert out.value[0] == pytest.approx(0.25)
 
     def test_zero_network_gives_zero(self, rng):
         pts = rng.uniform(-3, 3, size=(10, 1))
         words = fourier1d(3, pts)
-        net = Jet2.const(np.zeros((10, 7)), 1)
+        net = const_jet(np.zeros((10, 7)), 1)
         out = fuse(words, net)
         assert np.all(out.value == 0.0)
         assert np.all(out.d1 == 0.0)
@@ -409,7 +410,7 @@ class TestFuse:
         pts = rng.uniform(-3, 3, size=(4, 1))
         words = fourier1d(2, pts)
         with pytest.raises(ValueError, match="fuse"):
-            fuse(words, Jet2.const(np.zeros((4, 3)), 1))
+            fuse(words, const_jet(np.zeros((4, 3)), 1))
 
     def test_product_rule_against_finite_differences(self, rng):
         spec = DictionarySpec("fourier1d", k=4)

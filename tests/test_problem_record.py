@@ -47,7 +47,7 @@ def test_samples_stay_inside(rng):
     assert pts.shape == (500, 1)
     assert np.all((pts >= 0.0) & (pts <= 1.0))
     bpts = sample_boundary(TOY, 2, rng).points
-    assert np.all(problems.on_boundary_mask(TOY, bpts))
+    assert np.all(TOY.on_boundary(bpts))
     with pytest.raises(ValueError, match="closure"):
         problems.ground_truth(TOY, [[1.5]])
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdpinn import problems
-from pdpinn.problems import POLE_EPS, on_boundary_mask
+from pdpinn.problems import POLE_EPS
 from pdpinn.sampling import sample_boundary, sample_interior
 
 # chi-square critical value, 9 degrees of freedom, significance 0.001
@@ -47,13 +47,13 @@ def test_poisson2d_boundary_on_edges(rng):
     p = problems.get("poisson2d")
     batch = sample_boundary(p, 400, rng)
     assert batch.points.shape == (400, 2)
-    assert np.all(on_boundary_mask(p, batch.points))
+    assert np.all(p.on_boundary(batch.points))
 
 
 def test_diffusion_boundary_split_by_measure():
     p = problems.get("diffusion1d")
     batch = sample_boundary(p, 20_000, np.random.default_rng(7))
-    assert np.all(on_boundary_mask(p, batch.points))
+    assert np.all(p.on_boundary(batch.points))
     on_slab = np.isclose(batch.points[:, 1], 0.0)
     frac = np.mean(on_slab)
     assert abs(frac - 20.0 / 22.0) < 0.01     # 20 : 1 : 1 by length

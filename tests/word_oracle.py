@@ -15,9 +15,16 @@ from pdpinn.diffgraph import Jet2, stack_jets
 from pdpinn.dictionaries import DictionarySpec
 
 
+def const_jet(values, dim: int) -> Jet2:
+    """A quantity with no dependence on the input coordinates."""
+    v = np.asarray(values, dtype=np.float64)
+    z = np.zeros((dim,) + v.shape)
+    return Jet2(v, z, z.copy())
+
+
 def eval_fourier1d(k: int, x: Jet2) -> Jet2:
     """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx]."""
-    words = [Jet2.const(np.ones_like(x.value), x.dim)]
+    words = [const_jet(np.ones_like(x.value), x.dim)]
     for n in range(1, k + 1):
         nx = x * float(n)
         words.append(dg.cos(nx))
@@ -27,7 +34,7 @@ def eval_fourier1d(k: int, x: Jet2) -> Jet2:
 
 def _sine_family(k: int, u: Jet2):
     """[1, sin(pi u), sin(2 pi u)/2, ..., sin((k-1) pi u)/(k-1)]."""
-    fam = [Jet2.const(np.ones_like(u.value), u.dim)]
+    fam = [const_jet(np.ones_like(u.value), u.dim)]
     for n in range(1, k):
         fam.append(dg.sin(u * (n * math.pi)) * (1.0 / n))
     return fam
@@ -105,9 +112,9 @@ def eval_spherical_harmonics(l_max: int, theta: Jet2, phi: Jet2) -> Jet2:
 def reference_dictionary(spec: DictionarySpec, points: np.ndarray,
                          derivatives: bool = True) -> Jet2:
     """``eval_dictionary`` as it was built from the families above."""
-    x = Jet2.seed(points) if derivatives else Jet2.const(points, 0)
+    x = Jet2.seed(points) if derivatives else const_jet(points, 0)
     if spec.kind == "none":
-        return stack_jets([Jet2.const(np.ones(points.shape[:-1]), x.dim)])
+        return stack_jets([const_jet(np.ones(points.shape[:-1]), x.dim)])
     if spec.kind in ("fourier1d", "diffusion1d-fourier"):
         return eval_fourier1d(spec.k, x.component(0))
     if spec.kind == "fourier2d":
