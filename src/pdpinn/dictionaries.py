@@ -108,9 +108,10 @@ class DictionarySpec:
 # Legendre functions as the value.
 
 def _fourier1d(k: int, x: np.ndarray, value, d1, d2) -> None:
-    """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx] of the
-    first coordinate."""
-    n = np.arange(1.0, k + 1)
+    """Words [1, cos(pi x/10), sin(pi x/10), ..., cos(k pi x/10),
+    sin(k pi x/10)] of the first coordinate: every word has a period that
+    divides the length 20 of the domain [-10, 10]."""
+    n = np.arange(1.0, k + 1) * (math.pi / 10.0)
     nx = np.multiply.outer(x, n)
     c, s = np.cos(nx), np.sin(nx)
     value[..., 0] = 1.0
@@ -285,9 +286,14 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
     carries the chain factor).  Each family is computed in closed form on
     whole arrays, vectorised over the word index.  With
     ``derivatives=False`` only the values are computed and the leading
-    derivative axis is empty.
+    derivative axis is empty.  Points with fewer coordinates than the
+    family reads raise ValueError.
     """
     pts = np.asarray(points, dtype=np.float64)
+    reads = 2 if spec.kind in ("fourier2d", "spherical-harmonics") else 1
+    if pts.shape[-1] < reads:
+        raise ValueError(f"{spec.kind} words read {reads} coordinates, but "
+                         f"the points have {pts.shape[-1]}")
     dim = pts.shape[-1] if derivatives else 0
     value = np.empty(pts.shape[:-1] + (spec.word_count,))
     d1 = np.empty((dim,) + value.shape)

@@ -99,6 +99,13 @@ class TestConfigFile:
         cfg = config.load_config(path)
         assert (cfg.problem, cfg.seed) == ("poisson2d", 3)
 
+    def test_sphere_without_dictionary_loads_unlifted(self, tmp_path):
+        path = tmp_path / "plain.ini"
+        path.write_text("[experiment]\nproblem = sphere\ndictionary = none\n")
+        cfg = config.load_config(path)
+        assert cfg.dictionary.kind == "none"
+        assert cfg.lift is False
+
     @pytest.mark.parametrize("section", ["trainng", "Training", "model"])
     def test_unknown_section_exits_2_naming_it(self, tmp_path, section):
         path = tmp_path / "typo.ini"
@@ -260,6 +267,40 @@ class TestRunCommand:
         assert rc == 2
         assert "missing k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dictionary,kind", [
+        ("fourier2d:3,3", "fourier2d"),
+        ("spherical-harmonics:2", "spherical-harmonics")])
+    def test_dictionary_reading_more_coordinates_exits_2(
+            self, tmp_path, capsys, dictionary, kind):
+        rc = cli.main(["run", "--preset", "poisson1d", "--dictionary",
+                       dictionary, "--iterations", "2", "--hidden-width", "4",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {kind} words read 2 coordinates, "
+                       "but the points have 1\n")
+
+    def test_sphere_run_without_dictionary_is_unlifted(self, tmp_path):
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--preset", "sphere", "--dictionary", "none",
+                       "--iterations", "2", "--hidden-width", "4",
+                       "--out", str(out)])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["lift"] is False
+        assert load_checkpoint(out / "model.ckpt").input_dim == 2
+
+    def test_lifting_a_problem_that_cannot_lift_exits_2(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "lift.ini"
+        path.write_text("[experiment]\nproblem = poisson1d\nlift = true\n"
+                        f"out_dir = {tmp_path / 'out'}\n"
+                        "[training]\niterations = 2\n")
+        rc = cli.main(["run", "--config", str(path)])
+        assert rc == 2
+        assert "lifting does not apply" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
     def test_divergence_exit_code(self, tmp_path):
         path = tmp_path / "diverge.ini"
         path.write_text("[experiment]\nproblem = poisson1d\n"
@@ -353,6 +394,42 @@ class TestDumpGrid:
                        "--out", str(tmp_path / "grid.csv")])
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_lift_is_read_from_the_checkpoint(self, tmp_path):
+        # a plain sphere model trained on lifted coordinates has fan-in 3
+        path = tmp_path / "lifted.ini"
+        path.write_text("[experiment]\nproblem = sphere\ndictionary = none\n"
+                        f"lift = true\nout_dir = {tmp_path / 'out'}\n"
+                        "[network]\nhidden_width = 4\n"
+                        "[training]\niterations = 2\n")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        ckpt = tmp_path / "out" / "model.ckpt"
+        assert load_checkpoint(ckpt).input_dim == 3
+        grid = tmp_path / "grid.csv"
+        rc = cli.main(["dump-grid", "--checkpoint", str(ckpt),
+                       "--problem", "sphere", "--dictionary", "none",
+                       "--resolution", "5", "--out", str(grid)])
+        assert rc == 0
+        lines = grid.read_text().strip().splitlines()
+        assert lines[0] == "theta,phi,prediction,ground_truth,abs_error"
+        assert len(lines) == 5 * 5 + 1
+        pts = np.array([[float(c) for c in line.split(",")[:2]]
+                        for line in lines[1:]])
+        want = training.predict_values(load_checkpoint(ckpt),
+                                       problems.get("sphere"),
+                                       DictionarySpec("none"), pts, True)
+        got = [float(line.split(",")[2]) for line in lines[1:]]
+        assert np.array_equal(got, want)
+
+    def test_no_lift_flag_is_rejected(self, tiny_run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["dump-grid", "--checkpoint",
+                      str(tiny_run / "model.ckpt"), "--problem", "poisson1d",
+                      "--dictionary", "fourier1d:8", "--no-lift",
+                      "--out", str(tmp_path / "grid.csv")])
+        assert exit_info.value.code == 2
+        assert "--no-lift" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_2d_grid_shape(self, tmp_path):
         out_dir = tmp_path / "m"

@@ -23,10 +23,11 @@ def const_jet(values, dim: int) -> Jet2:
 
 
 def eval_fourier1d(k: int, x: Jet2) -> Jet2:
-    """Words [1, cos x, sin x, cos 2x, sin 2x, ..., cos kx, sin kx]."""
+    """Words [1, cos(pi x/10), sin(pi x/10), ..., cos(k pi x/10),
+    sin(k pi x/10)]."""
     words = [const_jet(np.ones_like(x.value), x.dim)]
     for n in range(1, k + 1):
-        nx = x * float(n)
+        nx = x * (n * (math.pi / 10.0))
         words.append(dg.cos(nx))
         words.append(dg.sin(nx))
     return stack_jets(words)
