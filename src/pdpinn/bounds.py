@@ -56,30 +56,15 @@ class _Domain:
 
 
 @dataclass(frozen=True)
-class Interval(_Domain):
-    a: float
-    b: float
-
-    def _nonempty(self):
-        return self.a < self.b
-
-    @property
-    def dim(self):
-        return 1
-
-    @property
-    def measure(self):
-        return self.b - self.a
-
-
-@dataclass(frozen=True)
 class Box(_Domain):
+    """The box [lo, hi]; a 1-D box is an interval."""
+
     lo: tuple
     hi: tuple
 
     def __post_init__(self):
-        if len(self.lo) not in (2, 3) or len(self.lo) != len(self.hi):
-            raise UnsupportedDomainError("boxes must be 2- or 3-dimensional")
+        if len(self.lo) not in (1, 2, 3) or len(self.lo) != len(self.hi):
+            raise UnsupportedDomainError("boxes must be 1- to 3-dimensional")
         super().__post_init__()
 
     def _nonempty(self):
@@ -140,9 +125,9 @@ def parse_domain(text: str):
         except ValueError:
             raise UnsupportedDomainError(
                 f"{kind} field {name}: {value!r} is not a number") from None
-    if kind == "box":
-        return Box(tuple(vals[0::2]), tuple(vals[1::2]))
-    return Interval(*vals) if kind == "interval" else Disk(*vals)
+    if kind == "disk":
+        return Disk(*vals)
+    return Box(tuple(vals[0::2]), tuple(vals[1::2]))
 
 
 def _check_arity(kind: str, vals, names) -> None:
@@ -200,8 +185,6 @@ def _exit_radii(domain, center, raw):
 
 
 def _center_grid(domain, grid: int):
-    if isinstance(domain, Interval):
-        return np.linspace(domain.a, domain.b, grid)[:, None]
     if isinstance(domain, Box):
         axes = [np.linspace(lo, hi, grid) for lo, hi in zip(domain.lo, domain.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -216,27 +199,22 @@ def _center_grid(domain, grid: int):
     return np.asarray(centers)
 
 
-def _interval_ratio(domain: Interval, x: float, r: float) -> float:
-    cap = min(domain.b, x + r) - max(domain.a, x - r)
-    return cap / min(domain.measure, 2.0 * r)
-
-
 def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = None,
                         seed: int = 0) -> float:
     """Smallest ratio |B(x,r) n Omega| / min(|Omega|, |B(x,r)|) on a grid.
 
     Centers range over a grid of the closed domain (corners included, where
     the infimum is attained for boxes); radii sweep up to past the measure
-    crossover.  Intervals use exact interval intersections; boxes also get
-    the exact corner value; everything else is Monte Carlo with at least
-    ``mc_points`` draws per center, shared across radii: each draw's exit
-    radius is taken in closed form and sorted once, and one search counts
-    the draws inside the ball of every radius.  The calling thread draws
-    every center's random numbers in order while the chunk pool works on
-    earlier centers, at most two centers per usable CPU ahead of the
-    results, so the result is the serial loop's bit for bit.
+    crossover.  Intervals (1-D boxes) use exact intersections measured from
+    the center; other boxes also get the exact corner value; everything
+    else is Monte Carlo with at least ``mc_points`` draws per center, shared
+    across radii: each draw's exit radius is taken in closed form and sorted
+    once, and one search counts the draws inside the ball of every radius.
+    The calling thread draws every center's random numbers in order while
+    the pool works on earlier centers, at most two centers per usable CPU
+    ahead of the results, so the result is the serial loop's bit for bit.
     """
-    if not isinstance(domain, (Interval, Box, Disk)):
+    if not isinstance(domain, (Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
     if mc_points < 1:
         raise ValueError(f"mc_points must be at least 1, got {mc_points}")
@@ -246,9 +224,7 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
     dim = domain.dim
     if grid is None:
         grid = {1: 21, 2: 7, 3: 4}[dim]
-    if isinstance(domain, Interval):
-        diameter = domain.measure
-    elif isinstance(domain, Box):
+    if isinstance(domain, Box):
         diameter = float(np.linalg.norm(np.subtract(domain.hi, domain.lo)))
     else:
         diameter = 2.0 * domain.r
@@ -259,12 +235,16 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
         crossover * np.linspace(0.8, 1.2, 9),
     ]))
     centers = _center_grid(domain, grid)
+    if dim == 1:
+        # the part of [x - r, x + r] inside [a, b], measured from x, so a
+        # center on an end point keeps exactly r
+        (a,), (b,) = domain.lo, domain.hi
+        return float(min(1.0, *((min(r, b - x) + min(r, x - a))
+                                / min(domain.measure, 2.0 * r)
+                                for (x,) in centers for r in radii)))
+
     volume = ball_volume(dim, radii)
     cap = np.minimum(domain.measure, volume)
-
-    if isinstance(domain, Interval):
-        return float(min(1.0, *(_interval_ratio(domain, center[0], r)
-                                for center in centers for r in radii)))
 
     def ratio(draws):
         center, dirs, u = draws
@@ -358,6 +338,9 @@ def estimate_lipschitz(f, lo, hi, n: int = _LIPSCHITZ_POINTS,
     grid around the arg-max sharpens the estimate; the result is a lower
     estimate of the true constant.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
     def gradients(points):
         return f(points)
         yield                           # a generator that requests no fields
@@ -596,10 +579,10 @@ def _box_regularity(lo: tuple, hi: tuple) -> tuple:
     Both depend on the box alone and come from fixed seeds, so each box's
     pair is computed once per process.
     """
+    interior = estimate_regularity(Box(lo, hi), mc_points=20_000)
     if len(lo) == 1:
-        return estimate_regularity(Interval(lo[0], hi[0]), mc_points=20_000), 1.0
-    return (estimate_regularity(Box(lo, hi), mc_points=20_000),
-            _square_perimeter_regularity((hi[0] - lo[0]) / 2.0))
+        return interior, 1.0
+    return interior, _square_perimeter_regularity((hi[0] - lo[0]) / 2.0)
 
 
 def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,

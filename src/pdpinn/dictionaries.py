@@ -11,29 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import diffgraph as dg
 from .diffgraph import Jet2, stack_jets
 
-# every kind, with the parameters its label takes in order
-_PARAMS = {"none": (), "fourier1d": ("k",), "fourier2d": ("k1", "k2"),
-           "diffusion1d-fourier": ("k",), "spherical-harmonics": ("l_max",)}
-KINDS = tuple(_PARAMS)
-
 
 @dataclass(frozen=True)
 class DictionarySpec:
     """Which word family to fuse with the network output.
 
-    kind            parameters        word count
-    none            -                 1 (identity fusion, plain PINN)
-    fourier1d       k                 2k+1
-    fourier2d       k1, k2            k1*k2
-    diffusion1d-fourier  k            2k+1 (in x only, ignores t)
-    spherical-harmonics  l_max        (l_max+1)**2
+    ``kind`` names a family of ``FAMILIES``, which gives the parameters
+    its label takes, the coordinates its words read, its word count and
+    its words; ``none`` is the single word 1 of a plain PINN.
     """
 
     kind: str = "none"
@@ -43,42 +36,33 @@ class DictionarySpec:
     l_max: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        if self.kind in ("fourier1d", "diffusion1d-fourier") and self.k < 1:
-            raise ValueError(f"{self.kind} needs k >= 1")
-        if self.kind == "fourier2d" and (self.k1 < 1 or self.k2 < 1):
-            raise ValueError("fourier2d needs k1, k2 >= 1")
-        if self.kind == "spherical-harmonics" and self.l_max < 0:
-            raise ValueError("spherical-harmonics needs l_max >= 0")
+        for name, least in FAMILIES[self.kind].params:
+            if getattr(self, name) < least:
+                raise ValueError(f"{self.kind} needs {name} >= {least}")
+
+    def _values(self) -> tuple:
+        """The family's label parameters, in label order."""
+        return tuple(getattr(self, name)
+                     for name, _ in FAMILIES[self.kind].params)
 
     @property
     def word_count(self) -> int:
-        if self.kind == "none":
-            return 1
-        if self.kind in ("fourier1d", "diffusion1d-fourier"):
-            return 2 * self.k + 1
-        if self.kind == "fourier2d":
-            return self.k1 * self.k2
-        return (self.l_max + 1) ** 2
+        return FAMILIES[self.kind].count(*self._values())
 
     def label(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind in ("fourier1d", "diffusion1d-fourier"):
-            return f"{self.kind}:{self.k}"
-        if self.kind == "fourier2d":
-            return f"fourier2d:{self.k1},{self.k2}"
-        return f"spherical-harmonics:{self.l_max}"
+        values = ",".join(map(str, self._values()))
+        return f"{self.kind}:{values}" if values else self.kind
 
     @staticmethod
     def parse(text: str) -> "DictionarySpec":
         """Inverse of ``label``, e.g. 'fourier1d:8' or 'fourier2d:5,5'."""
         kind, _, params = text.partition(":")
         kind = kind.strip()
-        if kind not in _PARAMS:
+        if kind not in FAMILIES:
             raise ValueError(f"unknown dictionary kind {kind!r}")
-        names = _PARAMS[kind]
+        names = [name for name, _ in FAMILIES[kind].params]
         values = params.split(",") if params else []
         if len(values) < len(names):
             raise ValueError(f"{kind} needs {','.join(names)}: "
@@ -100,27 +84,26 @@ class DictionarySpec:
 # Word families, in closed form
 # --------------------------------------------------------------------------
 #
-# A family writes point-major words, shape lead + (W,), into ``value`` and
-# their first and second derivatives into ``d1``/``d2``, one array per
-# coordinate along the first axis (shape (dim,) + lead + (W,), the ``Jet2``
-# layout; None without derivatives).  It writes every entry.  Each
-# derivative is a closed-form factor of the same sines, cosines and
-# Legendre functions as the value.
+# A family reads points of shape lead + (dim,) and writes point-major
+# words, shape lead + (W,), into ``value`` and their first and second
+# derivatives into ``d1``/``d2``, one array per coordinate along the first
+# axis (shape (dim,) + lead + (W,), the ``Jet2`` layout; None without
+# derivatives).  It writes every entry of the coordinates it reads; the
+# words are constant along the rest.  Each derivative is a closed-form
+# factor of the same sines, cosines and Legendre functions as the value.
 
-def _fourier1d(k: int, x: np.ndarray, value, d1, d2) -> None:
+def _fourier1d(k: int, pts: np.ndarray, value, d1, d2) -> None:
     """Words [1, cos(pi x/10), sin(pi x/10), ..., cos(k pi x/10),
-    sin(k pi x/10)] of the first coordinate: every word has a period that
-    divides the length 20 of the domain [-10, 10]."""
+    sin(k pi x/10)] of the first coordinate x: every word has a period
+    that divides the length 20 of the domain [-10, 10]."""
     n = np.arange(1.0, k + 1) * (math.pi / 10.0)
-    nx = np.multiply.outer(x, n)
+    nx = np.multiply.outer(pts[..., 0], n)
     c, s = np.cos(nx), np.sin(nx)
     value[..., 0] = 1.0
     value[..., 1::2] = c
     value[..., 2::2] = s
     if d1 is None:
         return
-    d1[1:] = 0.0
-    d2[1:] = 0.0
     d1[0][..., 0] = d2[0][..., 0] = 0.0
     np.multiply(s, -n, out=d1[0][..., 1::2])
     np.multiply(c, n, out=d1[0][..., 2::2])
@@ -145,12 +128,11 @@ def _sine_family(k: int, x: np.ndarray, derivatives: bool) -> np.ndarray:
     return f
 
 
-def _fourier2d(k1: int, k2: int, x: np.ndarray, y: np.ndarray,
-               value, d1, d2) -> None:
+def _fourier2d(k1: int, k2: int, pts: np.ndarray, value, d1, d2) -> None:
     """All products of the sine families in x and y, x-major."""
-    fx = _sine_family(k1, x, d1 is not None)
-    fy = _sine_family(k2, y, d1 is not None)
-    shape = x.shape + (k1, k2)
+    fx = _sine_family(k1, pts[..., 0], d1 is not None)
+    fy = _sine_family(k2, pts[..., 1], d1 is not None)
+    shape = pts.shape[:-1] + (k1, k2)
 
     def outer(a, b, out):
         np.multiply(a[..., :, None], b[..., None, :], out=out.reshape(shape))
@@ -240,15 +222,16 @@ def _sh_index(l_max: int):
     return index
 
 
-def _spherical_harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray,
-                         value, d1, d2) -> None:
-    """Real orthonormal spherical harmonics, degrees 0..l_max.
+def _spherical_harmonics(l_max: int, pts: np.ndarray, value, d1, d2) -> None:
+    """Real orthonormal spherical harmonics of (theta, phi), degrees
+    0..l_max.
 
     Word l*l + l + m is N P_l^|m|(cos theta) times cos(m phi) for m > 0,
     sin(|m| phi) for m < 0 and 1 for m = 0, so the word at l=0 is the
     constant 1/sqrt(4 pi).  Polar derivatives chain through t = cos(theta).
     """
     derivatives = d1 is not None
+    theta, phi = pts[..., 0], pts[..., 1]
     l, am, m, norm = _sh_index(l_max)
     ct = np.cos(theta)
     P = legendre_table(l_max, ct, derivatives)[..., l, am]
@@ -265,6 +248,31 @@ def _spherical_harmonics(l_max: int, theta: np.ndarray, phi: np.ndarray,
     # d/dphi: -m sin(m phi) for m >= 0 and |m| cos(|m| phi) for m < 0
     np.multiply(norm * np.where(m >= 0, -m * sm, -m * cm), P[0], out=d1[1])
     np.multiply(value, -(m * m), out=d2[1])
+
+
+class Family(NamedTuple):
+    """One word family: its label parameters, each with its least value,
+    in label order; how many coordinates its words read; its word count
+    and its closed-form words as functions of the parameter values."""
+
+    params: tuple
+    reads: int
+    count: Callable
+    words: Callable
+
+
+FAMILIES = {
+    # a plain network's single word 1: the 1-D Fourier words up to k = 0
+    "none": Family((), 1, lambda: 1, partial(_fourier1d, 0)),
+    "fourier1d": Family((("k", 1),), 1, lambda k: 2 * k + 1, _fourier1d),
+    "fourier2d": Family((("k1", 1), ("k2", 1)), 2, lambda k1, k2: k1 * k2,
+                        _fourier2d),
+    "spherical-harmonics": Family((("l_max", 0),), 2,
+                                  lambda l_max: (l_max + 1) ** 2,
+                                  _spherical_harmonics),
+}
+# the diffusion1d words depend on x only; their t-derivatives are zero
+FAMILIES["diffusion1d-fourier"] = FAMILIES["fourier1d"]
 
 
 def fuse(dict_jets: Jet2, net_jets: Jet2) -> Jet2:
@@ -289,25 +297,16 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
     derivative axis is empty.  Points with fewer coordinates than the
     family reads raise ValueError.
     """
+    family = FAMILIES[spec.kind]
     pts = np.asarray(points, dtype=np.float64)
-    reads = 2 if spec.kind in ("fourier2d", "spherical-harmonics") else 1
-    if pts.shape[-1] < reads:
-        raise ValueError(f"{spec.kind} words read {reads} coordinates, but "
-                         f"the points have {pts.shape[-1]}")
+    if pts.shape[-1] < family.reads:
+        raise ValueError(f"{spec.kind} words read {family.reads} coordinates, "
+                         f"but the points have {pts.shape[-1]}")
     dim = pts.shape[-1] if derivatives else 0
     value = np.empty(pts.shape[:-1] + (spec.word_count,))
     d1 = np.empty((dim,) + value.shape)
     d2 = np.empty((dim,) + value.shape)
+    d1[family.reads:] = d2[family.reads:] = 0.0
     jets = (d1, d2) if derivatives else (None, None)
-    x = pts[..., 0]
-    if spec.kind == "none":
-        value[...] = 1.0
-        d1[...] = d2[...] = 0.0
-    elif spec.kind in ("fourier1d", "diffusion1d-fourier"):
-        # diffusion1d words depend on x only; t-derivatives are zero
-        _fourier1d(spec.k, x, value, *jets)
-    elif spec.kind == "fourier2d":
-        _fourier2d(spec.k1, spec.k2, x, pts[..., 1], value, *jets)
-    else:
-        _spherical_harmonics(spec.l_max, x, pts[..., 1], value, *jets)
+    family.words(*spec._values(), pts, value, *jets)
     return Jet2(value, d1, d2)

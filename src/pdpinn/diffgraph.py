@@ -15,6 +15,10 @@ Two layers live here:
   run on it (``network.SlotPass`` has its own adjoint); the tests use it
   as an independent reference for that adjoint.
 
+All trainable parameters live in one flat vector, ``ParamStore.theta``;
+``layer_views`` cuts it into the (W, b) of each layer, and the slot pass's
+gradient, Adam and the checkpoints use that one layout.
+
 Every jet in the package keeps its derivative slots first: ``d1[k]`` and
 ``d2[k]`` are the derivatives along coordinate k, each shaped like the
 value; the tape packs value, d1 and d2 slots along one leading axis, and
@@ -181,12 +185,25 @@ def stack_jets(jets) -> Jet2:
 # Parameters
 # --------------------------------------------------------------------------
 
-class ParamStore:
-    """All trainable weights and biases, layer by layer.
+def layer_views(shapes, vec: np.ndarray) -> list:
+    """(W, b) views of a flat parameter vector for the W shapes (out, in)
+    of each layer, in the order W1.ravel(), b1, W2.ravel(), b2, ..."""
+    views, pos = [], 0
+    for out_dim, in_dim in shapes:
+        W = vec[pos:pos + out_dim * in_dim].reshape(out_dim, in_dim)
+        pos += W.size
+        views.append((W, vec[pos:pos + out_dim]))
+        pos += out_dim
+    return views
 
-    ``layers`` is an ordered list of (W, b) with W of shape (out, in) and b
-    of shape (out,).  Adjacent layers must chain: in_{i+1} == out_i.  The
-    flat view concatenates W1.ravel(), b1, W2.ravel(), b2, ...
+
+class ParamStore:
+    """All trainable weights and biases in one flat vector ``theta``.
+
+    ``layers`` is an ordered list of (W, b) views into ``theta`` (see
+    ``layer_views``), with W of shape (out, in) and b of shape (out,), so
+    writing to either moves the other.  Adjacent layers must chain:
+    in_{i+1} == out_i.  The constructor copies the arrays it is given.
     """
 
     def __init__(self, layers):
@@ -198,7 +215,11 @@ class ParamStore:
                 raise ValueError(
                     f"layer {i}: fan-in {W.shape[1]} does not chain with "
                     f"previous fan-out {layers[i - 1][0].shape[0]}")
-        self.layers = layers
+        self.theta = np.empty(sum(W.size + b.size for W, b in layers))
+        self.layers = layer_views([W.shape for W, _ in layers], self.theta)
+        for (W, b), (W_view, b_view) in zip(layers, self.layers):
+            W_view[...] = W
+            b_view[...] = b
 
     @property
     def input_dim(self) -> int:
@@ -210,25 +231,19 @@ class ParamStore:
 
     @property
     def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.layers)
+        return self.theta.size
 
     def flat(self) -> np.ndarray:
-        return np.concatenate(
-            [np.concatenate([W.ravel(), b]) for W, b in self.layers])
+        return self.theta.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
         vec = _as_f64(vec)
-        if vec.shape != (self.n_params,):
+        if vec.shape != self.theta.shape:
             raise ValueError(f"expected flat vector of length {self.n_params}")
-        pos = 0
-        for W, b in self.layers:
-            W[...] = vec[pos:pos + W.size].reshape(W.shape)
-            pos += W.size
-            b[...] = vec[pos:pos + b.size]
-            pos += b.size
+        self.theta[...] = vec
 
     def copy(self) -> "ParamStore":
-        return ParamStore([(W.copy(), b.copy()) for W, b in self.layers])
+        return ParamStore(self.layers)
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Trainable tanh MLP: initialization, jet forward passes, checkpoints.
 
 Two forward passes live here.  ``mlp_forward`` propagates plain ``Jet2``
-values (dictionaries and tests use it).  ``SlotPass`` is the pass of
-training, prediction and bound checks: jets stored slot-major, one GEMM
-per affine map, and a hand-written adjoint for the parameter gradient.
+values (``training.predictor_jets``, the ``Jet2`` reference, and tests
+use it).  ``SlotPass`` is the pass of training, prediction and bound
+checks: jets stored slot-major, one GEMM per affine map, and a
+hand-written adjoint for the parameter gradient.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffgraph import Jet2, NonFiniteError, ParamStore, affine, tanh
+from .diffgraph import (Jet2, NonFiniteError, ParamStore, affine,
+                        layer_views, tanh)
 
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
@@ -350,17 +352,14 @@ class SlotPass:
         """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF."""
         g = self._fuse_adjoint(gF)
         grad = np.empty(sum(W.size + b.size for W, b in self.layers))
-        end = grad.size
+        views = layer_views([W.shape for W, _ in self.layers], grad)
         for i in range(len(self.layers) - 1, -1, -1):
-            W, b = self.layers[i]
+            (W, _), (dW, db) = self.layers[i], views[i]
             x = self.inputs[i]
             S, n, w = x.shape
             g2 = g.reshape(S * n, -1)
-            start = end - W.size - b.size
-            np.matmul(g2.T, x.reshape(S * n, w),
-                      out=grad[start:start + W.size].reshape(W.shape))
-            np.sum(g[0], axis=0, out=grad[start + W.size:end])
-            end = start
+            np.matmul(g2.T, x.reshape(S * n, w), out=dW)
+            np.sum(g[0], axis=0, out=db)
             if i:
                 # alternate two buffers so the GEMM never writes over its
                 # own input, which numpy would first copy
@@ -371,15 +370,13 @@ class SlotPass:
 
 
 def save_checkpoint(store: ParamStore, path) -> None:
-    """Write parameters as little-endian doubles behind a shape header."""
+    """Write ``theta`` as little-endian doubles behind a shape header."""
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(store.layers)))
         for W, _ in store.layers:
             fh.write(struct.pack("<II", W.shape[0], W.shape[1]))
-        for W, b in store.layers:
-            fh.write(W.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
+        fh.write(store.theta.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ParamStore:
@@ -405,15 +402,8 @@ def load_checkpoint(path) -> ParamStore:
     if len(data) != expected:
         raise ValueError(f"{path}: truncated checkpoint "
                          f"({len(data)} bytes, expected {expected})")
-    layers = []
-    for out_dim, in_dim in shapes:
-        W = np.frombuffer(data, dtype="<f8", count=out_dim * in_dim,
-                          offset=pos).reshape(out_dim, in_dim).copy()
-        pos += 8 * out_dim * in_dim
-        b = np.frombuffer(data, dtype="<f8", count=out_dim, offset=pos).copy()
-        pos += 8 * out_dim
-        layers.append((W, b))
+    theta = np.frombuffer(data, dtype="<f8", offset=pos)
     try:
-        return ParamStore(layers)
+        return ParamStore(layer_views(shapes, theta))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

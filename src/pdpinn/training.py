@@ -393,9 +393,7 @@ def adam_step(state: AdamState, store: ParamStore, grad: np.ndarray) -> None:
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
     mhat = state.m / (1.0 - ADAM_BETA1 ** state.t)
     vhat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    theta = store.flat()
-    theta -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    store.set_flat(theta)
+    store.theta -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # --------------------------------------------------------------------------

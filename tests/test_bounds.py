@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdpinn import bounds, problems, training
-from pdpinn.bounds import (Box, BoundReport, Disk, Interval,
-                           UnsupportedDomainError,
+from pdpinn.bounds import (Box, BoundReport, Disk, UnsupportedDomainError,
                            estimate_lipschitz, estimate_regularity,
                            estimate_sup_deltas, parse_domain, poisson_bound,
                            tilde_delta, verify_bound)
@@ -21,8 +20,6 @@ from pdpinn.training import FORWARD_CHUNK, TrainSettings, predictor_jets, train
 
 def brute_inside(domain, pts):
     """Membership of explicit points, the reference for the exit radii."""
-    if isinstance(domain, Interval):
-        return (pts[:, 0] >= domain.a) & (pts[:, 0] <= domain.b)
     if isinstance(domain, Box):
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
@@ -93,15 +90,21 @@ class TestTildeDelta:
 
 class TestRegularity:
     def test_unit_interval_is_half(self):
-        r = estimate_regularity(Interval(0.0, 1.0))
-        assert r == pytest.approx(0.5, rel=0.05)
+        r = estimate_regularity(Box((0.0,), (1.0,)))
+        assert r == 0.5
+
+    @pytest.mark.parametrize("a,b", [(-10.0, 10.0), (0.0, 1.0), (-3.7, 12.1),
+                                     (1e-3, 2e-3), (5.0, 1e4)])
+    def test_interval_is_exactly_half(self, a, b):
+        # a ball centred on an end point keeps exactly r of the interval
+        assert estimate_regularity(Box((a,), (b,))) == 0.5
 
     def test_square_is_quarter(self):
         r = estimate_regularity(Box((0.0, 0.0), (1.0, 1.0)), mc_points=20_000)
         assert r == pytest.approx(0.25, rel=0.05)
 
     def test_convex_domains_in_unit_range(self):
-        for dom in (Interval(-10, 10), Box((0, 0), (2, 1)), Disk(0, 0, 1)):
+        for dom in (Box((-10,), (10,)), Box((0, 0), (2, 1)), Disk(0, 0, 1)):
             r = estimate_regularity(dom, mc_points=5_000, grid=5)
             assert 0.0 < r <= 1.0
 
@@ -188,7 +191,7 @@ class TestRegularity:
         assert max(alive) <= 2 * (2 * workers)
 
     def test_parse_domain_round_trips(self):
-        assert parse_domain("interval:0,1") == Interval(0.0, 1.0)
+        assert parse_domain("interval:0,1") == Box((0.0,), (1.0,))
         assert parse_domain("box:0,1,0,2") == Box((0.0, 0.0), (1.0, 2.0))
         assert parse_domain("box:0,1,0,1,0,1") == Box((0, 0, 0), (1, 1, 1))
         assert parse_domain("disk:0,0,2") == Disk(0.0, 0.0, 2.0)
@@ -236,7 +239,7 @@ class TestRegularity:
 
     def test_empty_grid_and_sample_rejected(self):
         with pytest.raises(ValueError, match="grid"):
-            estimate_regularity(Interval(0.0, 1.0), grid=0)
+            estimate_regularity(Box((0.0,), (1.0,)), grid=0)
         with pytest.raises(ValueError, match="mc_points"):
             estimate_regularity(Box((0.0, 0.0), (1.0, 1.0)), mc_points=0)
 
@@ -257,6 +260,11 @@ class TestLipschitz:
         def f(pts):
             return np.full_like(pts, 3.0)
         assert estimate_lipschitz(f, [0.0], [1.0], n=1000) == 3.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_sample_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            estimate_lipschitz(lambda pts: pts, [0.0], [1.0], n=n)
 
 
 class TestSupDeltas:
@@ -378,7 +386,7 @@ class TestVerifyBound:
         assert report(1) == first == second
         assert calls == names * 2
         # the cached pair is what the public, uncached estimates give
-        domain = Interval(*p.lo, *p.hi) if p.dim == 1 else Box(p.lo, p.hi)
+        domain = Box(p.lo, p.hi)
         assert first["regularity_interior"] == original["estimate_regularity"](
             domain, mc_points=20_000)
         if p.dim == 2:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from pdpinn import diffgraph as dg
 from pdpinn import problems
 from pdpinn.diffgraph import Jet2, JetDomainError
-from pdpinn.dictionaries import (DictionarySpec, eval_dictionary, fuse,
-                                 legendre_table, lift_sphere)
+from pdpinn.dictionaries import (FAMILIES, DictionarySpec, eval_dictionary,
+                                 fuse, legendre_table, lift_sphere)
 from pdpinn.training import operator_layout, pack_slots
 
 from conftest import agree, fd_jet
@@ -166,6 +166,48 @@ class TestSpec:
             DictionarySpec("fourier1d", k=0)
         with pytest.raises(ValueError):
             DictionarySpec("fourier2d", k1=1, k2=0)
+
+
+def least_spec(kind, **override):
+    params = {name: least for name, least in FAMILIES[kind].params}
+    return DictionarySpec(kind, **{**params, **override})
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+class TestFamilies:
+    def test_label_round_trips_at_least_parameters(self, kind):
+        spec = least_spec(kind)
+        assert DictionarySpec.parse(spec.label()) == spec
+
+    def test_word_count_is_the_width_of_the_words(self, kind, rng):
+        for grow in (0, 2):
+            spec = least_spec(kind, **{name: least + grow for name, least
+                                       in FAMILIES[kind].params})
+            pts = rng.uniform(0.1, 3.0, size=(6, 2))
+            for derivatives in (True, False):
+                words = eval_dictionary(spec, pts, derivatives)
+                assert words.value.shape == (6, spec.word_count)
+
+    def test_below_least_names_the_parameter(self, kind):
+        for name, least in FAMILIES[kind].params:
+            with pytest.raises(ValueError, match=f"{name} >= {least}"):
+                least_spec(kind, **{name: least - 1})
+
+    def test_words_are_constant_along_unread_coordinates(self, kind, rng):
+        reads = FAMILIES[kind].reads
+        pts = rng.uniform(0.1, 3.0, size=(40, reads + 2))
+        for _ in range(3):
+            # dirty the allocator, so unwritten entries would show
+            junk = np.full((reads + 2) * 40 * 16, np.nan)
+            del junk
+            words = eval_dictionary(least_spec(kind), pts)
+            assert np.all(words.d1[reads:] == 0.0)
+            assert np.all(words.d2[reads:] == 0.0)
+
+    def test_too_few_coordinates_rejected(self, kind):
+        reads = FAMILIES[kind].reads
+        with pytest.raises(ValueError, match=f"read {reads} coordinates"):
+            eval_dictionary(least_spec(kind), np.zeros((4, reads - 1)))
 
 
 class TestFourier1d:

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
-from pdpinn.diffgraph import Jet2
+from pdpinn.diffgraph import Jet2, ParamStore, layer_views
 from pdpinn.network import (MlpConfig, init_mlp, load_checkpoint, mlp_forward,
                             save_checkpoint)
+from pdpinn.training import AdamState, adam_step
 
 from conftest import agree, fd_jet
 
@@ -91,7 +94,70 @@ class TestForward:
             assert np.all(np.isfinite(arr))
 
 
+def hand_layers():
+    return [(np.array([[1.0, -2.0], [0.5, 3.0], [4.0, 0.25]]),
+             np.array([0.1, 0.2, 0.3])),
+            (np.array([[-1.5, 2.5, 7.0]]), np.array([-0.75]))]
+
+
+class TestParamStore:
+    def test_layers_are_views_of_theta(self):
+        store = init_mlp(MlpConfig(2, (5, 4), 3, seed=1))
+        for W, b in store.layers:
+            assert np.shares_memory(W, store.theta)
+            assert np.shares_memory(b, store.theta)
+        assert store.n_params == store.theta.size == 15 + 24 + 15
+
+    def test_theta_is_in_layer_order(self):
+        store = ParamStore(hand_layers())
+        assert store.theta.tolist() == [1.0, -2.0, 0.5, 3.0, 4.0, 0.25,
+                                        0.1, 0.2, 0.3, -1.5, 2.5, 7.0, -0.75]
+        views = layer_views([(3, 2), (1, 3)], store.theta)
+        for (W, b), (Wv, bv) in zip(store.layers, views):
+            assert np.array_equal(W, Wv) and np.array_equal(b, bv)
+
+    def test_adam_step_moves_layers_in_place(self):
+        store = ParamStore(hand_layers())
+        W0 = store.layers[0][0]
+        before = W0.copy()
+        adam_step(AdamState.init(store.n_params), store,
+                  np.ones(store.n_params))
+        assert store.layers[0][0] is W0
+        assert np.all(W0 < before)
+
+    def test_flat_is_a_copy(self):
+        store = ParamStore(hand_layers())
+        vec = store.flat()
+        vec[:] = 0.0
+        assert store.layers[0][0][0, 0] == 1.0
+        store.set_flat(vec)
+        assert np.all(store.layers[1][1] == 0.0)
+
+    def test_constructor_does_not_alias_its_arguments(self):
+        layers = hand_layers()
+        store = ParamStore(layers)
+        store.theta[:] = 9.0
+        assert layers[0][0][0, 0] == 1.0 and layers[1][1][0] == -0.75
+        copy = store.copy()
+        copy.theta[:] = 0.0
+        assert np.all(store.theta == 9.0)
+
+
 class TestCheckpoint:
+    def test_bytes_match_per_layer_packing(self, tmp_path):
+        layers = hand_layers()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ParamStore(layers), path)
+        golden = (b"MLPC" + struct.pack("<II", 1, 2)
+                  + struct.pack("<IIII", 3, 2, 1, 3))
+        for W, b in layers:
+            golden += struct.pack(f"<{W.size}d", *W.ravel())
+            golden += struct.pack(f"<{b.size}d", *b)
+        assert path.read_bytes() == golden
+        back = load_checkpoint(path)
+        assert np.array_equal(back.theta, ParamStore(layers).theta)
+        assert back.theta.flags.writeable
+
     def test_round_trip(self, rng, tmp_path):
         store = init_mlp(MlpConfig(3, (11, 7), 5, seed=77))
         path = tmp_path / "model.ckpt"
