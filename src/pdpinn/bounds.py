@@ -521,50 +521,6 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _square_perimeter_regularity(half: float, grid: int = 48,
-                                 seed: int = 0) -> float:
-    """Regularity of the square's edge set under arc-length measure.
-
-    Same ratio as ``estimate_regularity`` but intersecting balls with the
-    1-D perimeter while keeping the printed ambient-dimension ball volume.
-    Each center's sample distances are sorted once and counted at every
-    radius with one search; the centers run on the chunk pool.
-    """
-    rng = np.random.default_rng(seed)
-    total = 8.0 * half
-    # arc-length-uniform perimeter samples
-    n = 200_000
-    u = rng.uniform(0.0, total, size=n)
-    px, py = np.ascontiguousarray(_perimeter_points(u, half).T)
-    centers = _perimeter_points(np.linspace(0.0, total, grid, endpoint=False), half)
-    crossover = math.sqrt(total / math.pi)
-    radii = np.unique(np.concatenate([
-        np.geomspace(0.05, 2.0 * half, 20),
-        crossover * np.linspace(0.8, 1.2, 9),
-    ]))
-    cap = np.minimum(total, math.pi * radii ** 2)
-
-    def ratio(c):
-        # the Euclidean distance of every sample from c
-        d = np.sort(np.sqrt((px - c[0]) ** 2 + (py - c[1]) ** 2))
-        arc = np.searchsorted(d, radii, side="right") / n * total
-        return float(np.min(arc / cap))
-    return float(min(1.0, *_map_in_order(ratio, centers)))
-
-
-def _perimeter_points(u, half: float) -> np.ndarray:
-    """Map arc length u in [0, 8 half) to points on the square boundary."""
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    side = 2.0 * half
-    edge = np.floor_divide(u, side).astype(int)
-    s = u - edge * side
-    x = np.where(edge == 0, -half + s,
-                 np.where(edge == 1, half, np.where(edge == 2, half - s, -half)))
-    y = np.where(edge == 0, -half,
-                 np.where(edge == 1, -half + s, np.where(edge == 2, half, half - s)))
-    return np.column_stack([x, y])
-
-
 def _check_bound_applies(p: ProblemSpec) -> None:
     side = np.subtract(p.hi, p.lo)
     if not p.elliptic_bound or p.dim > 2 or np.any(side != side[0]):
@@ -572,17 +528,37 @@ def _check_bound_applies(p: ProblemSpec) -> None:
                          f"on an interval or a square, not for {p.id}")
 
 
-@functools.lru_cache
-def _box_regularity(lo: tuple, hi: tuple) -> tuple:
-    """(interior, boundary) regularity of the interval or square [lo, hi].
+def _box_regularity(lo, hi) -> tuple:
+    """(interior, boundary) regularity of the interval or square [lo, hi]:
+    (1/2, 1) on an interval, whose boundary is two points under counting
+    measure, and (1/4, min(1, 2 / sqrt(pi L))) on a square of side s and
+    perimeter L = 4 s.  Both are the infimum over centres x in the box and
+    radii r of the ratio |B(x,r) n A| / min(|A|, |B(x,r)|), with |B(x,r)|
+    the ball's volume in the box's dimension; A is the box or its boundary.
 
-    Both depend on the box alone and come from fixed seeds, so each box's
-    pair is computed once per process.
+    Interior: |B(x,r) n Q| is the convolution of the indicators of two
+    convex sets, so it is log-concave in x (Prekopa-Leindler) and its
+    minimum over the box sits at a corner.  There it is |B| / 2^d for r up
+    to the side s, a ratio of exactly 2^-d up to the crossover radius
+    |B| = |Q| (r = s / 2 on the interval, s / sqrt(pi) < s on the square).
+    Past the crossover the ratio is |B(x,r) n Q| / |Q|, which grows with r,
+    so it stays above its value at the crossover.
+
+    Boundary: on a closed curve of length L the arc inside B(c,r) is at
+    least min(2 r, L) for any centre c on the curve, because arc length
+    bounds distance: each way round from c the curve stays inside the
+    ball for an arc of length r, or the two arcs cover it.  For 2 r <= L
+    the ratio is then at least 2 r / min(L, pi r^2) = max(2 r / L,
+    2 / (pi r)) >= 2 / sqrt(pi L), the geometric mean of the two; for
+    2 r > L it is at least 1.  At a corner the arc is exactly 2 r for r
+    up to s, so the constant is attained at the crossover r = sqrt(L / pi)
+    when s >= 4 / pi; for a smaller square it is a lower bound, which
+    keeps the bound it enters valid.
     """
-    interior = estimate_regularity(Box(lo, hi), mc_points=20_000)
     if len(lo) == 1:
-        return interior, 1.0
-    return interior, _square_perimeter_regularity((hi[0] - lo[0]) / 2.0)
+        return 0.5, 1.0
+    perimeter = 4.0 * (hi[0] - lo[0])
+    return 0.25, min(1.0, 2.0 / math.sqrt(math.pi * perimeter))
 
 
 def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
@@ -619,8 +595,7 @@ def verify_bound(store, p: ProblemSpec, dspec: DictionarySpec,
 
     side = hi - lo
     slab_width = float(side.min())     # planes this far apart enclose the box
-    reg_interior, reg_boundary = _box_regularity(tuple(map(float, p.lo)),
-                                                 tuple(map(float, p.hi)))
+    reg_interior, reg_boundary = _box_regularity(p.lo, p.hi)
     if p.dim == 1:
         td1 = 2.0 * d1_exp      # two-point boundary: sup <= sum = 2 * mean
     else:

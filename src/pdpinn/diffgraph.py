@@ -116,12 +116,6 @@ class Jet2:
                         self.d2 - other.d2)
         return Jet2(self.value - other, self.d1, self.d2)
 
-    def __rsub__(self, other):
-        return Jet2(other - self.value, -self.d1, -self.d2)
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
-
     def __mul__(self, other):
         if isinstance(other, Jet2):
             return _jet_mul(self, other)

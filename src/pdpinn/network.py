@@ -9,6 +9,7 @@ hand-written adjoint for the parameter gradient.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,26 +134,34 @@ class SlotBuffers:
     """Work arrays that successive slot passes reuse, and the last inputs
     of each pass role.
 
-    ``take(role, shape)`` returns the same uninitialised float64 array
-    every time it is asked for a role and shape, so a loop over fixed-size
-    batches maps its jet pages once instead of on every pass.  The arrays
-    of a pass (its ``net``, and ``F`` of a plain network) hold only until
-    the next pass on the same buffers; ``SlotPass.gradient`` always returns
-    a fresh array.  ``memo`` keeps one built input per role.  A pool serves
-    one run, so each role always means the same problem, dictionary and
-    slot layout.
+    ``take(role, shape)`` returns a contiguous view of the first
+    prod(shape) entries of one uninitialised float64 array per role, grown
+    when a request is larger, so a loop over batches of any sizes maps its
+    jet pages once instead of on every pass.  Roles never share memory;
+    the arrays of a pass (its ``net``, and ``F`` of a plain network) hold
+    only until the next pass on the same buffers, and ``SlotPass.gradient``
+    always returns a fresh array.  ``memo`` keeps one built input per role.
+    A pool serves one run or one thread, so each memo role always means
+    the same problem, dictionary and slot layout.
     """
 
     def __init__(self):
         self.arrays = {}
+        self.views = {}                  # (role, shape) -> view of arrays[role]
         self.memos = {}
 
-    def take(self, role, shape) -> np.ndarray:
-        key = (role, tuple(shape))
-        a = self.arrays.get(key)
-        if a is None:
-            a = self.arrays[key] = np.empty(shape)
-        return a
+    def take(self, role, shape: tuple) -> np.ndarray:
+        view = self.views.get((role, shape))
+        if view is not None:
+            return view
+        size = math.prod(shape)
+        a = self.arrays.get(role)
+        if a is None or a.size < size:
+            a = self.arrays[role] = np.empty(size)
+            # a view of the old array would keep its memory alive
+            self.views = {k: v for k, v in self.views.items() if k[0] != role}
+        view = self.views[role, shape] = a[:size].reshape(shape)
+        return view
 
     def memo(self, role, points: np.ndarray, build):
         """``build()``, reused while ``role`` is asked for at points equal
@@ -178,10 +187,6 @@ def _freeze(value) -> None:
             _freeze(v)
 
 
-def _fresh(role, shape) -> np.ndarray:
-    return np.empty(shape)
-
-
 class SlotPass:
     """Forward pass of the predictor <words, MLP(x)> on slot-major jets.
 
@@ -195,8 +200,8 @@ class SlotPass:
     hand-written adjoint.  With ``retain=False`` the pass keeps no
     per-layer state and skips the tanh derivatives only the adjoint reads,
     so ``gradient`` is unavailable.  Work arrays come from ``buffers`` (a
-    ``SlotBuffers``), or are allocated afresh when it is None.  Every layer
-    output is checked for NaN/Inf.
+    ``SlotBuffers``), or from a pool of the pass's own when it is None.
+    Every layer output is checked for NaN/Inf.
     """
 
     def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
@@ -206,7 +211,7 @@ class SlotPass:
         self.layers, self.layout, self.words = layers, layout, words
         self.coeffs = coeffs
         self.retain = retain
-        self._take = _fresh if buffers is None else buffers.take
+        self._take = (SlotBuffers() if buffers is None else buffers).take
         self.inputs = []                 # the input slots of every layer
         self.hidden = []                 # (pre-activation, f1, f2, f3) per tanh
         h = x
@@ -321,9 +326,9 @@ class SlotPass:
 
     def _fuse(self, C: np.ndarray, N: np.ndarray) -> np.ndarray:
         # the product rule, with L<C,N> = <LC,N> + <C,LN>
-        # + 2 sum_k a_k <C_k, N_k>; T keeps the words' memory layout, which
-        # fixes the summation order of T.sum
-        T = np.multiply(C, N[0], out=np.empty_like(C))
+        # + 2 sum_k a_k <C_k, N_k>; T is C-ordered like the packed words,
+        # which fixes the summation order of T.sum
+        T = np.multiply(C, N[0], out=self._take("T", C.shape))
         T[1:] += np.multiply(C[0], N[1:], out=self._take("cn", N[1:].shape))
         if self.layout.operator:
             m = len(self.layout.d1)

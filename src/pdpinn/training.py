@@ -32,11 +32,13 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # runs each); below 1024 the per-chunk Python overhead outweighs the cache.
 # A power of two keeps every point on the GEMM row blocks of one
 # whole-batch pass, so chunking leaves the results bitwise unchanged; an
-# odd size such as 333 changes them at the rounding level.  The chunks
-# share nothing, so they run concurrently on one thread per CPU the process
-# may use (numpy's GEMMs and ufuncs release the GIL) and are joined in
-# order: the result is bitwise the serial loop's.  Keep BLAS on one thread,
-# or its own threads compete with the chunks for the same CPUs.
+# odd size such as 333 changes them at the rounding level.  Each chunk
+# takes its work arrays from a pool kept by the thread that runs it and
+# returns a copy of its fields, so the chunks share no memory.  They run
+# concurrently on one thread per CPU the process may use (numpy's GEMMs
+# and ufuncs release the GIL) and are joined in order: the result is
+# bitwise the serial loop's.  Keep BLAS on one thread, or its own threads
+# compete with the chunks for the same CPUs.
 FORWARD_CHUNK = 1024
 
 # Seed of the prediction-error sample, separate from the training noise.
@@ -278,6 +280,18 @@ def _map_in_order(fn, args) -> list:
     return results
 
 
+# The work arrays of the forward-only chunks, one pool per thread that
+# runs them, kept for the life of the thread.
+_chunk_buffers = threading.local()
+
+
+def _thread_buffers() -> SlotBuffers:
+    buffers = getattr(_chunk_buffers, "pool", None)
+    if buffers is None:
+        buffers = _chunk_buffers.pool = SlotBuffers()
+    return buffers
+
+
 def predictor_fields_many(store: ParamStore, p: ProblemSpec,
                           dspec: DictionarySpec, requests, lift: bool) -> list:
     """``predictor_fields`` of each ``(points, layout)`` request, the chunks
@@ -290,9 +304,11 @@ def predictor_fields_many(store: ParamStore, p: ProblemSpec,
     def chunk(arg):
         points, layout, start = arg
         pts = points[start:start + FORWARD_CHUNK]
+        # a copy: a plain network's F is a view into the thread's pool
         return _slot_pass(store, layout,
                           predictor_slots(p, dspec, pts, lift, layout),
-                          points, start, retain=False).F
+                          points, start, retain=False,
+                          buffers=_thread_buffers()).F.copy()
 
     counts = [len(range(0, len(points), FORWARD_CHUNK))
               for points, _ in requests]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import weakref
 from dataclasses import asdict
 
@@ -8,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdpinn import bounds, problems, training
+from pdpinn import bounds, network, problems, training
 from pdpinn.bounds import (Box, BoundReport, Disk, UnsupportedDomainError,
                            estimate_lipschitz, estimate_regularity,
                            estimate_sup_deltas, parse_domain, poisson_bound,
                            tilde_delta, verify_bound)
+from pdpinn.dictionaries import DictionarySpec
 from pdpinn.diffgraph import Jet2
+from pdpinn.network import VALUES, SlotBuffers
 from pdpinn.problems import apply_operator, ground_truth_jet
+from pdpinn.sampling import sample_interior
 from pdpinn.training import FORWARD_CHUNK, TrainSettings, predictor_jets, train
 
 
@@ -24,6 +28,52 @@ def brute_inside(domain, pts):
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
     return (pts[:, 0] - domain.cx) ** 2 + (pts[:, 1] - domain.cy) ** 2 <= domain.r ** 2
+
+
+def segment_arc(a, b, center, r):
+    """Length of the segment [a, b] inside the closed disk B(center, r),
+    from the roots of |a + t (b - a) - center|^2 = r^2."""
+    d = np.subtract(b, a)
+    f = np.subtract(a, center)
+    qa, qb, qc = d @ d, f @ d, f @ f - r * r
+    disc = qb * qb - qa * qc
+    if disc <= 0.0:
+        return 0.0
+    root = math.sqrt(disc)
+    t0, t1 = max(0.0, (-qb - root) / qa), min(1.0, (-qb + root) / qa)
+    return max(0.0, t1 - t0) * math.sqrt(qa)
+
+
+def disk_quadrant_area(a, b, r):
+    """Area of the disk of radius r about the origin where x >= a, y >= b."""
+    def half(c):                        # the part where x >= c
+        if c >= r:
+            return 0.0
+        if c <= -r:
+            return math.pi * r * r
+        return r * r * math.acos(c / r) - c * math.sqrt(r * r - c * c)
+
+    if b < 0.0:                         # mirror y: take away y <= b
+        return half(a) - disk_quadrant_area(a, -b, r)
+    if a < 0.0:                         # mirror x: take away x <= a
+        return half(b) - disk_quadrant_area(-a, b, r)
+    if a * a + b * b >= r * r:
+        return 0.0
+
+    def chord(x):                       # integral of sqrt(r^2 - x^2)
+        return 0.5 * (x * math.sqrt(r * r - x * x) + r * r * math.asin(x / r))
+
+    x1 = math.sqrt(r * r - b * b)
+    return chord(x1) - chord(a) - b * (x1 - a)
+
+
+def disk_square_area(center, r, lo, hi):
+    """Area of B(center, r) n [lo, hi]^2 by inclusion-exclusion of the
+    quadrants at the square's corners."""
+    x0, x1 = lo - center[0], hi - center[0]
+    y0, y1 = lo - center[1], hi - center[1]
+    return (disk_quadrant_area(x0, y0, r) - disk_quadrant_area(x1, y0, r)
+            - disk_quadrant_area(x0, y1, r) + disk_quadrant_area(x1, y1, r))
 
 
 class TestPoissonBound:
@@ -131,21 +181,55 @@ class TestRegularity:
                     for r in radii]
             assert got.tolist() == want
 
-    def test_perimeter_estimate_is_the_per_radius_loop(self):
-        half, grid, total, n = 10.0, 48, 80.0, 200_000
-        rng = np.random.default_rng(0)
-        pts = bounds._perimeter_points(rng.uniform(0.0, total, size=n), half)
-        centers = bounds._perimeter_points(
-            np.linspace(0.0, total, grid, endpoint=False), half)
-        crossover = math.sqrt(total / math.pi)
-        radii = np.unique(np.concatenate([np.geomspace(0.05, 2.0 * half, 20),
-                                          crossover * np.linspace(0.8, 1.2, 9)]))
-        want = 1.0
-        for c in centers:
-            d = np.linalg.norm(pts - c, axis=1)
-            for r in radii:
-                want = min(want, np.mean(d <= r) * total / min(total, math.pi * r ** 2))
-        assert bounds._square_perimeter_regularity(half) == float(want)
+    @pytest.mark.parametrize("side", [20.0, 2.0, 0.5, 0.25])
+    def test_square_constants_are_the_dense_minimum(self, side):
+        # exact arcs and areas over a dense set of centres and radii; the
+        # perimeter constant is attained for sides of at least 4 / pi and
+        # where it is capped at 1, and a lower bound in between
+        lo, hi = -side / 2.0, side / 2.0
+        interior, boundary = bounds._box_regularity((lo, lo), (hi, hi))
+        corners = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
+        edges = list(zip(corners, corners[1:] + corners[:1]))
+        perimeter = 4.0 * side
+
+        # 408 perimeter centres, every corner and edge midpoint among them
+        along = np.linspace(0.0, 1.0, 103)[:-1]
+        assert 0.5 in along
+        rim = [np.add(a, t * np.subtract(b, a)) for a, b in edges for t in along]
+        rim_cross = math.sqrt(perimeter / math.pi)
+        rim_radii = np.unique(np.concatenate([
+            np.geomspace(side * 1e-3, side * 1.5, 40),
+            rim_cross * np.linspace(0.8, 1.2, 9)]))
+        rim_ratio = min(
+            sum(segment_arc(a, b, c, r) for a, b in edges)
+            / min(perimeter, math.pi * r * r)
+            for c in rim for r in rim_radii)
+
+        # a 21 x 21 grid with the corners, edge midpoints and centre
+        grid = np.linspace(lo, hi, 21)
+        cross = side / math.sqrt(math.pi)
+        radii = np.unique(np.concatenate([
+            np.geomspace(side * 1e-3, side * 1.5, 30),
+            cross * np.linspace(0.8, 1.2, 9)]))
+        area_ratio = min(disk_square_area((x, y), r, lo, hi)
+                         / min(side * side, math.pi * r * r)
+                         for x in grid for y in grid for r in radii)
+
+        assert area_ratio >= interior * (1.0 - 1e-12)
+        assert area_ratio == pytest.approx(interior, rel=1e-12)
+        assert rim_ratio >= boundary * (1.0 - 1e-12)
+        if side >= 4.0 / math.pi or boundary == 1.0:
+            assert rim_ratio == pytest.approx(boundary, rel=1e-12)
+        else:
+            assert rim_ratio > boundary * 1.01
+        if side == 20.0:
+            assert boundary == pytest.approx(2.0 / math.sqrt(80.0 * math.pi),
+                                             rel=1e-15)
+
+    def test_interval_constants_are_the_exact_estimate(self):
+        lo, hi = (-10.0,), (10.0,)
+        assert bounds._box_regularity(lo, hi) == (
+            estimate_regularity(Box(lo, hi)), 1.0) == (0.5, 1.0)
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("domain", [
@@ -160,14 +244,6 @@ class TestRegularity:
             chunk_workers(workers)
             results.append(estimate_regularity(domain, mc_points=4_000,
                                                seed=seed))
-        assert results[0] == results[1] == results[2]
-
-    def test_perimeter_estimate_is_bitwise_under_any_worker_count(
-            self, chunk_workers):
-        results = []
-        for workers in (1, None, 3):
-            chunk_workers(workers)
-            results.append(bounds._square_perimeter_regularity(10.0))
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -361,37 +437,48 @@ class TestVerifyBound:
         assert BoundReport.from_json(fast.to_json()) == fast
 
     @pytest.mark.parametrize("pid", ["poisson1d", "poisson2d"])
-    def test_box_constants_are_computed_once_per_box(self, monkeypatch, pid):
+    def test_verifier_chunks_reuse_their_pools(self, chunk_workers,
+                                               monkeypatch, pid):
         p = problems.get(pid)
-        names = ["estimate_regularity"]
-        if p.dim == 2:
-            names.append("_square_perimeter_regularity")
-        original = {name: getattr(bounds, name) for name in names}
-        calls = []
-        for name in original:
-            def counted(*args, _name=name, **kw):
-                calls.append(_name)
-                return original[_name](*args, **kw)
-            monkeypatch.setattr(bounds, name, counted)
+        dspec = DictionarySpec("none")
+        _, store = train(p, dspec, TrainSettings(
+            iterations=3, record_every=3, hidden_width=8, seed=4))
+        pools = []
 
-        def report(seed):
-            return asdict(verify_bound(
-                None, p, p.dictionary, n_interior=1000, n_boundary=50,
-                seed=seed, predictor_fn=lambda pts: ground_truth_jet(p, pts)))
+        class Recorded(SlotBuffers):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
 
-        bounds._box_regularity.cache_clear()
-        first, second = report(1), report(1)
-        assert calls == names
-        bounds._box_regularity.cache_clear()
-        assert report(1) == first == second
-        assert calls == names * 2
-        # the cached pair is what the public, uncached estimates give
-        domain = Box(p.lo, p.hi)
-        assert first["regularity_interior"] == original["estimate_regularity"](
-            domain, mc_points=20_000)
-        if p.dim == 2:
-            assert first["regularity_boundary"] == \
-                original["_square_perimeter_regularity"](10.0)
+        def arrays():
+            return [(pool, role, a) for pool in pools
+                    for role, a in pool.arrays.items()]
+
+        monkeypatch.setattr(training, "SlotBuffers", Recorded)
+        monkeypatch.setattr(network, "SlotBuffers", Recorded)
+        reports = []
+        for workers in (1, None, 3):
+            chunk_workers(workers)
+            # new threads, each starting without a pool
+            monkeypatch.setattr(training, "_chunk_pool", None)
+            monkeypatch.setattr(training, "_chunk_buffers", threading.local())
+            pools.clear()
+            reports.append(asdict(verify_bound(store, p, dspec, seed=6)))
+            created, held = len(pools), arrays()
+            assert created >= 1
+            reports.append(asdict(verify_bound(store, p, dspec, seed=6)))
+            assert len(pools) == created
+            assert len(arrays()) == len(held)
+            assert all(pool.arrays[role] is a for pool, role, a in held)
+            pts = sample_interior(p, 2 * FORWARD_CHUNK + 5,
+                                  np.random.default_rng(1)).points
+            for points in (pts, pts[:FORWARD_CHUNK]):
+                F = training.predictor_fields(store, p, dspec, points, False,
+                                              VALUES)
+                assert not any(np.shares_memory(F, a) for _, _, a in arrays())
+            if training._chunk_pool is not None:
+                training._chunk_pool.shutdown()
+        assert all(r == reports[0] for r in reports)
 
     def test_report_is_bitwise_at_the_old_chunk(self, monkeypatch):
         p = problems.get("poisson2d")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pdpinn.diffgraph import Jet2, ParamStore, layer_views
-from pdpinn.network import (MlpConfig, init_mlp, load_checkpoint, mlp_forward,
-                            save_checkpoint)
+from pdpinn.network import (MlpConfig, SlotBuffers, init_mlp, load_checkpoint,
+                            mlp_forward, save_checkpoint)
 from pdpinn.training import AdamState, adam_step
 
 from conftest import agree, fd_jet
@@ -141,6 +141,25 @@ class TestParamStore:
         copy = store.copy()
         copy.theta[:] = 0.0
         assert np.all(store.theta == 9.0)
+
+
+class TestSlotBuffers:
+    def test_take_keeps_one_growing_array_per_role(self):
+        pool = SlotBuffers()
+        big = pool.take("z", (3, 4, 5))
+        small = pool.take("z", (2, 5))
+        assert small.shape == (2, 5) and small.flags.c_contiguous
+        assert small.ctypes.data == big.ctypes.data       # the same memory
+        other = pool.take(("z", 1), (3, 4, 5))
+        assert not np.shares_memory(other, big)           # roles never share
+        assert pool.take("z", (3, 4, 5)) is big
+        larger = pool.take("z", (4, 4, 5))
+        assert not np.shares_memory(larger, big)          # reallocated
+        assert pool.take("z", (2, 3)).ctypes.data == larger.ctypes.data
+        assert sorted(map(str, pool.arrays)) == ["('z', 1)", "z"]
+        # no kept view holds on to the memory it replaced
+        assert all(np.shares_memory(v, pool.arrays[role])
+                   for (role, _), v in pool.views.items())
 
 
 class TestCheckpoint:
