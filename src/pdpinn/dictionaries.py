@@ -2,9 +2,13 @@
 
 Each word is a closed-form function of the problem coordinates.  A family
 is computed on whole (points, words) arrays, its derivatives as closed-form
-factors of the same sines, cosines and Legendre functions, and returned as
-a ``Jet2`` so the PDE operator can act on the fused predictor.  Words never
-depend on network parameters; they enter training as constants.
+factors of the same sines, cosines and Legendre functions.  ``write_words``
+writes them into arrays the caller owns: training writes the value and
+d1 rows straight into the slots of its pass (``training.predictor_slots``);
+``eval_dictionary`` returns them as a ``Jet2``, the reference the slot
+inputs are checked against.  The sphere lift comes both ways too
+(``write_lifted`` and ``lift_sphere``).  Words never depend on network
+parameters; they enter training as constants.
 """
 
 from __future__ import annotations
@@ -152,6 +156,36 @@ def lift_sphere(theta: Jet2, phi: Jet2) -> Jet2:
     return stack_jets([dg.mul(st, sp), dg.mul(st, cp), ct])
 
 
+def write_lifted(pts: np.ndarray, value, d1, d2) -> None:
+    """``lift_sphere`` of the seeded (theta, phi) in closed form, written
+    like a word family's words (width 3).
+
+    It is bitwise the ``Jet2`` product rule: every term that rule adds
+    beyond these is an exact zero, and the zero entries carry the rule's
+    signs.
+    """
+    s, c = np.sin(pts[:, 0]), np.cos(pts[:, 0])
+    sp, cp = np.sin(pts[:, 1]), np.cos(pts[:, 1])
+    np.multiply(s, sp, out=value[:, 0])
+    np.multiply(s, cp, out=value[:, 1])
+    value[:, 2] = c
+    if d1 is None:
+        return
+    ms = np.negative(s)
+    np.multiply(c, sp, out=d1[0][:, 0])
+    np.multiply(c, cp, out=d1[0][:, 1])
+    d1[0][:, 2] = ms
+    d1[1][:, 0] = value[:, 1]
+    np.negative(value[:, 0], out=d1[1][:, 1])
+    np.multiply(ms, 0.0, out=d1[1][:, 2])
+    # both second derivatives of sin t sin p and sin t cos p are minus
+    # the value; cos t has -cos t along theta and none along phi
+    np.negative(value[:, :2], out=d2[0][:, :2])
+    np.negative(c, out=d2[0][:, 2])
+    d2[1][:, :2] = d2[0][:, :2]
+    np.add(np.multiply(c, -0.0), d1[1][:, 2], out=d2[1][:, 2])
+
+
 def legendre_table(l_max: int, t, derivatives: bool = True) -> np.ndarray:
     """Associated Legendre P_l^m(t), without the Condon-Shortley phase, for
     0 <= m <= l <= l_max.
@@ -211,12 +245,13 @@ def _sh_norm(l: int, m: int) -> float:
 
 @lru_cache(maxsize=None)
 def _sh_index(l_max: int):
-    """Per word l*l + l + m: its degree l, order |m|, signed order m and
-    normalisation constant."""
+    """Per word l*l + l + m: its degree l, order |m|, signed order m,
+    normalisation constant, and the column m + l_max of its signed order
+    among -l_max..l_max."""
     l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
     m = np.concatenate([np.arange(-d, d + 1) for d in range(l_max + 1)])
     norm = np.array([_sh_norm(a, b) for a, b in zip(l, m)])
-    index = (l, np.abs(m), m.astype(np.float64), norm)
+    index = (l, np.abs(m), m.astype(np.float64), norm, m + l_max)
     for a in index:
         a.flags.writeable = False         # shared by every call
     return index
@@ -232,11 +267,12 @@ def _spherical_harmonics(l_max: int, pts: np.ndarray, value, d1, d2) -> None:
     """
     derivatives = d1 is not None
     theta, phi = pts[..., 0], pts[..., 1]
-    l, am, m, norm = _sh_index(l_max)
+    l, am, m, norm, column = _sh_index(l_max)
     ct = np.cos(theta)
     P = legendre_table(l_max, ct, derivatives)[..., l, am]
-    mp = phi[..., None] * m
-    cm, sm = np.cos(mp), np.sin(mp)
+    # the cosine and sine of each signed order once, then per word
+    mp = phi[..., None] * np.arange(-l_max, l_max + 1.0)
+    cm, sm = np.cos(mp)[..., column], np.sin(mp)[..., column]
     # cos(m phi) for m >= 0 (1 at m = 0) and sin(|m| phi) for m < 0
     naz = norm * np.where(m >= 0, cm, -sm)
     np.multiply(naz, P[0], out=value)
@@ -284,6 +320,27 @@ def fuse(dict_jets: Jet2, net_jets: Jet2) -> Jet2:
     return dg.sum_words(dg.mul(dict_jets, net_jets))
 
 
+def write_words(spec: DictionarySpec, pts: np.ndarray, value, d1,
+                d2) -> None:
+    """The words of ``spec`` at points (shape lead + (dim,)) into
+    ``value``, and unless d1 is None their derivative rows ``d1[k]`` and
+    ``d2[k]`` of every coordinate k (each shaped like the value).
+
+    The rows may be any arrays the caller owns, such as the slots of a
+    pass.  The words are constant along the coordinates past those the
+    family reads, whose rows are zeroed.  Points with fewer coordinates
+    than the family reads raise ValueError.
+    """
+    family = FAMILIES[spec.kind]
+    if pts.shape[-1] < family.reads:
+        raise ValueError(f"{spec.kind} words read {family.reads} coordinates, "
+                         f"but the points have {pts.shape[-1]}")
+    family.words(*spec._values(), pts, value, d1, d2)
+    if d1 is not None:
+        for k in range(family.reads, len(d1)):
+            d1[k][...] = d2[k][...] = 0.0
+
+
 def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
                     derivatives: bool = True) -> Jet2:
     """Evaluate the word family at raw problem coordinates.
@@ -297,16 +354,10 @@ def eval_dictionary(spec: DictionarySpec, points: np.ndarray,
     derivative axis is empty.  Points with fewer coordinates than the
     family reads raise ValueError.
     """
-    family = FAMILIES[spec.kind]
     pts = np.asarray(points, dtype=np.float64)
-    if pts.shape[-1] < family.reads:
-        raise ValueError(f"{spec.kind} words read {family.reads} coordinates, "
-                         f"but the points have {pts.shape[-1]}")
     dim = pts.shape[-1] if derivatives else 0
     value = np.empty(pts.shape[:-1] + (spec.word_count,))
     d1 = np.empty((dim,) + value.shape)
     d2 = np.empty((dim,) + value.shape)
-    d1[family.reads:] = d2[family.reads:] = 0.0
-    jets = (d1, d2) if derivatives else (None, None)
-    family.words(*spec._values(), pts, value, *jets)
+    write_words(spec, pts, value, *((d1, d2) if derivatives else (None, None)))
     return Jet2(value, d1, d2)

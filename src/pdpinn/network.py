@@ -4,7 +4,11 @@ Two forward passes live here.  ``mlp_forward`` propagates plain ``Jet2``
 values (``training.predictor_jets``, the ``Jet2`` reference, and tests
 use it).  ``SlotPass`` is the pass of training, prediction and bound
 checks: jets stored slot-major, one GEMM per affine map, and a
-hand-written adjoint for the parameter gradient.
+hand-written adjoint for the parameter gradient.  Its inputs are written
+straight into the slots (``training.predictor_slots``), and every array
+of a run or a verifier thread comes from one ``SlotBuffers`` pool;
+``SlotLayout.pack`` of a ``Jet2`` is the reference they are checked
+against.
 """
 
 from __future__ import annotations
@@ -140,7 +144,9 @@ class SlotBuffers:
     jet pages once instead of on every pass.  Roles never share memory;
     the arrays of a pass (its ``net``, and ``F`` of a plain network) hold
     only until the next pass on the same buffers, and ``SlotPass.gradient``
-    always returns a fresh array.  ``memo`` keeps one built input per role.
+    always returns a fresh array.  ``scope(name)`` serves the roles
+    ``(name, role)``, so each set of pass inputs (``predictor_slots``)
+    keeps arrays of its own.  ``memo`` keeps one built input per role.
     A pool serves one run or one thread, so each memo role always means
     the same problem, dictionary and slot layout.
     """
@@ -163,36 +169,55 @@ class SlotBuffers:
         view = self.views[role, shape] = a[:size].reshape(shape)
         return view
 
+    def scope(self, name) -> "_Scope":
+        return _Scope(self, name)
+
     def memo(self, role, points: np.ndarray, build):
         """``build()``, reused while ``role`` is asked for at points equal
         (``np.array_equal``) to those of its last build.
 
-        The arrays of the result are made read-only, since every later
-        pass of the role reads them.
+        The result comes back as read-only views, since every later pass
+        of the role reads them.  Its arrays may be the pool's own: a new
+        build of the role writes over them, so the old one is dropped
+        first.
         """
         last = self.memos.get(role)
         if last is not None and np.array_equal(last[0], points):
             return last[1]
-        built = build()
-        _freeze(built)
+        self.memos.pop(role, None)
+        built = _read_only(build())
         self.memos[role] = (np.array(points), built)
         return built
 
 
-def _freeze(value) -> None:
+class _Scope:
+    """The roles ``(name, role)`` of a pool."""
+
+    def __init__(self, pool: SlotBuffers, name):
+        self.pool, self.name = pool, name
+
+    def take(self, role, shape: tuple) -> np.ndarray:
+        return self.pool.take((self.name, role), shape)
+
+
+def _read_only(value):
+    """``value`` with each array in it, through tuples, as a read-only
+    view."""
     if isinstance(value, np.ndarray):
+        value = value.view()
         value.flags.writeable = False
     elif isinstance(value, tuple):
-        for v in value:
-            _freeze(v)
+        value = tuple(map(_read_only, value))
+    return value
 
 
 class SlotPass:
     """Forward pass of the predictor <words, MLP(x)> on slot-major jets.
 
-    ``x`` is the network input packed by ``layout`` (shape (S, n, fan_in))
-    and ``words`` the dictionary words packed the same way, or None for a
-    plain network whose single output is the predictor.  ``coeffs`` holds
+    ``x`` is the network input in the slots of ``layout`` (shape (S, n,
+    fan_in)) and ``words`` the dictionary words in the same slots, or None
+    for a plain network whose single output is the predictor; both come
+    from ``training.predictor_slots``.  ``coeffs`` holds
     the operator's second-order coefficient a_k of each d1 slot: None for
     one, a float, or an (n, 1) array; the L slot propagates through them.
     Each affine map is one GEMM on the contiguous (S*n, width) view.  The

@@ -272,12 +272,39 @@ def operator_terms(p: ProblemSpec, points):
     """The operator as a sum of coefficient * (derivative component).
 
     Returns [(order, coordinate, coefficient)] with the coefficient an
-    (n,) array, a float, or None for one.  Training reads the second-order
-    coefficients, through which the operator slot propagates.
+    (n,) array, a float, or None for one.  Training evaluates them once per
+    batch and reads the second-order coefficients, through which the
+    operator slot propagates.
     """
     pts = _pts(points)
     return [(order, coord, coeff(pts) if callable(coeff) else coeff)
             for order, coord, coeff in p.terms]
+
+
+def operator_sum(terms, d1, d2, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of coefficient * derivative over evaluated ``operator_terms``.
+
+    ``d1[k]`` and ``d2[k]`` are the derivative arrays along coordinate k of
+    every coordinate a term reads, shaped (n,) or (n, ...); a point
+    coefficient multiplies every entry of its point.  The sum goes into
+    ``out`` when given.  Every operator slot is this one sum, term by term
+    in record order, so the ``Jet2`` reference and the slot inputs agree
+    bit for bit.
+    """
+    acc = None
+    for order, coord, coeff in terms:
+        term = d1[coord] if order == 1 else d2[coord]
+        if np.ndim(coeff):
+            coeff = np.reshape(coeff, coeff.shape + (1,) * (term.ndim - 1))
+        if coeff is not None:
+            term = np.multiply(term, coeff, out=out if acc is None else None)
+        if acc is None:
+            acc = term
+        else:
+            acc = np.add(acc, term, out=out)
+    if out is not None and acc is not out:
+        out[...] = acc                  # a single term with coefficient one
+    return acc if out is None else out
 
 
 def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
@@ -286,15 +313,7 @@ def apply_operator(p: ProblemSpec, F: Jet2, points) -> np.ndarray:
     ``F.value`` has shape (n,) or (n, ...); a point coefficient multiplies
     every entry of its point.
     """
-    acc = None
-    for order, coord, coeff in operator_terms(p, points):
-        term = F.d1[coord] if order == 1 else F.d2[coord]
-        if np.ndim(coeff):
-            coeff = np.reshape(coeff, coeff.shape + (1,) * (term.ndim - 1))
-        if coeff is not None:
-            term = term * coeff
-        acc = term if acc is None else acc + term
-    return acc
+    return operator_sum(operator_terms(p, points), F.d1, F.d2)
 
 
 def boundary_value(p: ProblemSpec, points) -> np.ndarray:

@@ -10,15 +10,17 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .diffgraph import Jet2, NonFiniteError, ParamStore
-from .dictionaries import DictionarySpec, eval_dictionary, fuse, lift_sphere
+from .dictionaries import (DictionarySpec, eval_dictionary, fuse, lift_sphere,
+                           write_lifted, write_words)
 from .network import (VALUES, MlpConfig, SlotBuffers, SlotLayout, SlotPass,
                       init_mlp, mlp_forward)
 from .problems import (ProblemSpec, apply_operator, boundary_value, ground_truth,
-                       operator_terms, rhs)
+                       operator_sum, operator_terms, rhs)
 from .sampling import SampleBatch, sample_boundary, sample_interior
 
 DIVERGENCE_LIMIT = 1e12
@@ -106,17 +108,21 @@ def network_input_dim(p: ProblemSpec, lift: bool) -> int:
     return 3 if lift else p.dim
 
 
+def _check_lift(p: ProblemSpec, lift: bool) -> None:
+    if lift and not p.lift:
+        raise ValueError(f"lifting does not apply to the {p.id} problem")
+
+
 def net_input_jet(p: ProblemSpec, points: np.ndarray, lift: bool) -> Jet2:
     """Jets of the network input at sample points.
 
     With lifting enabled the (theta, phi) coordinates are mapped to the
     unit sphere first; derivatives stay with respect to (theta, phi).
     """
+    _check_lift(p, lift)
     x = Jet2.seed(points)
     if not lift:
         return x
-    if not p.lift:
-        raise ValueError(f"lifting does not apply to the {p.id} problem")
     return lift_sphere(x.component(0), x.component(1))
 
 
@@ -148,11 +154,10 @@ def pack_slots(p: ProblemSpec, layout: SlotLayout, jet: Jet2,
     return layout.pack(jet, op)
 
 
-def _second_order_coeffs(p: ProblemSpec, points: np.ndarray,
-                         layout: SlotLayout) -> tuple:
-    """a_k of each d1 slot of ``layout``, a point coefficient as (n, 1)."""
-    a = {coord: coeff for order, coord, coeff in operator_terms(p, points)
-         if order == 2}
+def _second_order_coeffs(terms, layout: SlotLayout) -> tuple:
+    """a_k of each d1 slot of ``layout`` from the evaluated operator
+    terms, a point coefficient as (n, 1)."""
+    a = {coord: coeff for order, coord, coeff in terms if order == 2}
     if sorted(a) != sorted(layout.d1):
         raise ValueError("the operator slot needs d1 slots for exactly the "
                          f"coordinates {sorted(a)}, got {list(layout.d1)}")
@@ -160,30 +165,87 @@ def _second_order_coeffs(p: ProblemSpec, points: np.ndarray,
                  for k in layout.d1)
 
 
-def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
-                    lift: bool, layout: SlotLayout):
-    """``SlotPass`` inputs at points: the network input and the dictionary
-    words packed by ``layout``, and the second-order coefficients.
+def _write_coordinates(pts: np.ndarray, value, d1, d2) -> None:
+    """The coordinates themselves (``Jet2.seed``), written like a word
+    family's words: d1[k] is the k-th unit field and d2 is zero."""
+    value[...] = pts
+    if d1 is None:
+        return
+    for k, row in enumerate(d1):
+        row[...] = 0.0
+        row[:, k] = 1.0
+    d2[...] = 0.0
 
-    The words are None without a dictionary; a layout without derivative
+
+def _fresh(role, shape: tuple) -> np.ndarray:
+    return np.empty(shape)
+
+
+def _jet_slots(write, pts: np.ndarray, width: int, layout: SlotLayout,
+               terms, take, name) -> np.ndarray:
+    """The slots of ``layout`` of a jet of ``width`` entries per point,
+    shape (slots, n, width), in the array ``take(name, shape)``.
+
+    ``write(pts, value, d1, d2)`` writes the value and, unless d1 is None,
+    the d1/d2 rows of every coordinate, as a word family does.  The d1
+    rows of the layout's d1 slots are those slots; the other rows are
+    scratch arrays of the same pool.  L is ``operator_sum`` of the terms.
+    """
+    n, dim = pts.shape
+    out = take(name, (layout.slots, n, width))
+    if layout.slots == 1:
+        write(pts, out[0], None, None)
+        return out
+    carried = dict(zip(layout.d1, out[1:]))
+    d1 = [carried[k] if k in carried else take((name, "d1", k), (n, width))
+          for k in range(dim)]
+    d2 = take((name, "d2"), (dim, n, width))
+    write(pts, out[0], d1, d2)
+    if layout.operator:
+        operator_sum(terms, d1, d2, out=out[-1])
+    return out
+
+
+def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
+                    lift: bool, layout: SlotLayout, buffers=None):
+    """``SlotPass`` inputs at points: the network input and the dictionary
+    words in the slots of ``layout``, and the second-order coefficients.
+
+    The input and the words are written straight into arrays taken from
+    ``buffers`` (a ``SlotBuffers`` or one of its scopes; fresh arrays when
+    None), the input in closed form and the words by their family.  The
+    operator terms are evaluated once, and both L slots are
+    ``operator_sum`` of them, so every slot is bitwise ``pack_slots`` of
+    the ``Jet2`` reference (``net_input_jet``, ``eval_dictionary``).  The
+    words are None without a dictionary; a layout without derivative
     slots gets value-only words.
     """
-    x = pack_slots(p, layout, net_input_jet(p, points, lift), points)
-    coeffs = _second_order_coeffs(p, points, layout) if layout.operator else ()
+    _check_lift(p, lift)
+    pts = np.asarray(points, dtype=np.float64)
+    take = _fresh if buffers is None else buffers.take
+    terms = operator_terms(p, pts) if layout.operator else ()
+    coeffs = _second_order_coeffs(terms, layout) if layout.operator else ()
+    x = _jet_slots(write_lifted if lift else _write_coordinates, pts,
+                   network_input_dim(p, lift), layout, terms, take, "x")
     if dspec.kind == "none":
         return x, None, coeffs
-    derivatives = bool(layout.d1) or layout.operator
-    return x, pack_slots(p, layout, eval_dictionary(
-        dspec, points, derivatives=derivatives), points), coeffs
+    return x, _jet_slots(partial(write_words, dspec), pts, dspec.word_count,
+                         layout, terms, take, "words"), coeffs
+
+
+def _scope(buffers: SlotBuffers | None, name):
+    return None if buffers is None else buffers.scope(name)
 
 
 def _pass_inputs(role: str, p: ProblemSpec, dspec: DictionarySpec,
                  points: np.ndarray, lift: bool, layout: SlotLayout, target,
                  buffers: SlotBuffers | None):
     """``(predictor_slots(...), target(p, points))`` for one pass role; with
-    a pool, both are built again only when the role's points change."""
+    a pool, the inputs are written into the role's own arrays, both built
+    again only when the role's points change."""
     def build():
-        return (predictor_slots(p, dspec, points, lift, layout),
+        return (predictor_slots(p, dspec, points, lift, layout,
+                                _scope(buffers, role)),
                 target(p, points))
     if buffers is None:
         return build()
@@ -304,11 +366,12 @@ def predictor_fields_many(store: ParamStore, p: ProblemSpec,
     def chunk(arg):
         points, layout, start = arg
         pts = points[start:start + FORWARD_CHUNK]
+        buffers = _thread_buffers()
+        slots = predictor_slots(p, dspec, pts, lift, layout,
+                                buffers.scope("inputs"))
         # a copy: a plain network's F is a view into the thread's pool
-        return _slot_pass(store, layout,
-                          predictor_slots(p, dspec, pts, lift, layout),
-                          points, start, retain=False,
-                          buffers=_thread_buffers()).F.copy()
+        return _slot_pass(store, layout, slots, points, start, retain=False,
+                          buffers=buffers).F.copy()
 
     counts = [len(range(0, len(points), FORWARD_CHUNK))
               for points, _ in requests]
@@ -426,9 +489,11 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
     fixed order here, so every run is bit-reproducible for a given seed.
     One ``SlotBuffers`` serves every pass of the run, so fixed-size batches
-    reuse the same work arrays from one iteration to the next, and a batch
-    whose points repeat (a fixed boundary, or ``fresh_batches=False``)
-    reuses its words and network input.
+    reuse the same work arrays from one iteration to the next.  The
+    inputs of the PDE batch, the boundary batch and the evaluation set
+    each keep arrays of their own in it, and a batch whose points repeat
+    (a fixed boundary, or ``fresh_batches=False``) reuses its words and
+    network input.
     """
     if lift is None:
         lift = p.lift and dspec.kind != "none"
@@ -450,9 +515,10 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     # fixed evaluation set: same points as predict_error with the eval seed
     eval_pts = sample_interior(p, settings.n_pred,
                                np.random.default_rng(EVAL_SEED)).points
-    eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES)
     eval_truth = ground_truth(p, eval_pts)
     buffers = SlotBuffers()
+    eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES,
+                                 _scope(buffers, "eval"))
 
     def current_error() -> float:
         F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False,

@@ -466,6 +466,9 @@ class TestVerifyBound:
             reports.append(asdict(verify_bound(store, p, dspec, seed=6)))
             created, held = len(pools), arrays()
             assert created >= 1
+            # each thread's pool also holds the inputs of its chunks
+            assert all(any(isinstance(role, tuple) and role[0] == "inputs"
+                           for role in pool.arrays) for pool in pools)
             reports.append(asdict(verify_bound(store, p, dspec, seed=6)))
             assert len(pools) == created
             assert len(arrays()) == len(held)

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -12,7 +14,8 @@ import pytest
 
 from pdpinn import diffgraph as dg
 from pdpinn import problems, training
-from pdpinn.dictionaries import DictionarySpec, eval_dictionary
+from pdpinn.bounds import verify_bound
+from pdpinn.dictionaries import DictionarySpec, eval_dictionary, write_words
 from pdpinn.diffgraph import Jet2, NonFiniteError, ParamStore
 from pdpinn.network import (VALUES, MlpConfig, SlotBuffers, SlotLayout,
                             SlotPass, init_mlp, mlp_forward)
@@ -21,11 +24,12 @@ from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
 from pdpinn.training import (EVAL_SEED, FORWARD_CHUNK, AdamState, TrainSettings,
                              adam_step, empirical_bc_loss, empirical_pde_loss,
-                             net_input_jet, operator_layout, predict_error,
-                             predict_values, predictor_fields, predictor_jets,
-                             predictor_slots, train)
+                             net_input_jet, operator_layout, pack_slots,
+                             predict_error, predict_values, predictor_fields,
+                             predictor_jets, predictor_slots, train)
 
 from conftest import agree, fd_loss_gradient
+from test_problem_record import TOY
 
 ALL_IDS = ("poisson1d", "poisson2d", "sphere", "diffusion1d")
 
@@ -403,6 +407,36 @@ class TestSlotPass:
         # iteration 2 is the first to follow a record-time evaluation
         assert pool_ids[1] == pool_ids[9]
         assert len(pool_ids[1]) > len(pool_ids[0])
+        # the inputs of each pass role hold arrays of their own from the
+        # first iteration on
+        inputs = [k for k in pool_ids[0]
+                  if isinstance(k, tuple) and k[0] in ("pde", "bc", "eval")]
+        assert {k[0] for k in inputs} == {"pde", "bc", "eval"}
+        assert all(pool_ids[9][k] == pool_ids[0][k] for k in inputs)
+
+    @pytest.mark.parametrize("pid", ["poisson2d", "sphere"])
+    def test_evaluation_inputs_survive_the_training_passes(self, monkeypatch,
+                                                           pid):
+        pools = []
+
+        class Recorded(SlotBuffers):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        monkeypatch.setattr(training, "SlotBuffers", Recorded)
+        p = problems.get(pid)
+        # every batch has the evaluation set's size, so a shared array
+        # would be written over by each pass
+        train(p, p.dictionary, TrainSettings(
+            iterations=5, hidden_width=8, n_pde=40, n_bc=40, n_pred=40,
+            record_every=5))
+        (pool,) = pools
+        pts = sample_interior(p, 40, np.random.default_rng(EVAL_SEED)).points
+        x, words, _ = predictor_slots(p, p.dictionary, pts, p.lift, VALUES)
+        kept = pool.scope("eval")
+        assert np.array_equal(kept.take("x", x.shape), x)
+        assert np.array_equal(kept.take("words", words.shape), words)
 
     def test_buffered_gradients_own_their_memory(self):
         p, dspec, lift, store = published_model("poisson2d", "dictionary")
@@ -429,6 +463,106 @@ class TestSlotPass:
         F = predictor_jets(store.layers, p, p.dictionary, pts, p.lift)
         assert records[-1].error_predict == float(
             np.mean((F.value - ground_truth(p, pts)) ** 2))
+
+
+def input_problem(pid):
+    """A preset, or the fifth problem defined outside the package."""
+    return TOY if pid == TOY.id else problems.get(pid)
+
+
+INPUT_CASES = [(pid, model, lift) for pid in (*ALL_IDS, TOY.id)
+               for model in ("dictionary", "plain")
+               for lift in ((False, True) if input_problem(pid).lift else (False,))]
+
+
+def reference_slots(p, dspec, pts, lift, layout):
+    """``predictor_slots`` through the ``Jet2`` reference: the packed input
+    and word jets, and the coefficients from the operator terms."""
+    x = pack_slots(p, layout, net_input_jet(p, pts, lift), pts)
+    words = (None if dspec.kind == "none"
+             else pack_slots(p, layout, eval_dictionary(dspec, pts), pts))
+    a = {coord: coeff for order, coord, coeff in operator_terms(p, pts)
+         if order == 2}
+    coeffs = tuple(a[k][:, None] if np.ndim(a[k]) == 1 else a[k]
+                   for k in layout.d1) if layout.operator else ()
+    return x, words, coeffs
+
+
+def same_bits(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+class TestSlotNativeInputs:
+    """``predictor_slots`` writes its inputs straight into slot arrays."""
+
+    @pytest.mark.parametrize("n", [1, 7, FORWARD_CHUNK + 1])
+    @pytest.mark.parametrize("pid,model,lift", INPUT_CASES)
+    def test_inputs_are_bitwise_the_packed_jet_reference(self, pid, model,
+                                                         lift, n):
+        p = input_problem(pid)
+        dspec = DictionarySpec("none")
+        if model == "dictionary":
+            dspec = (DictionarySpec("fourier1d", k=3) if p is TOY
+                     else p.dictionary)
+        rng = np.random.default_rng(n)
+        pts = sample_interior(p, n, rng).points
+        pool = SlotBuffers()
+        for layout in (operator_layout(p), SlotLayout(p.coord_names), VALUES):
+            # a pool that an earlier call filled: no stale entry may show
+            predictor_slots(p, dspec, sample_interior(p, n, rng).points,
+                            lift, layout, pool.scope("in"))
+            for a in pool.arrays.values():
+                a.fill(np.nan)
+            want = reference_slots(p, dspec, pts, lift, layout)
+            for buffers in (None, pool.scope("in")):
+                x, words, coeffs = predictor_slots(p, dspec, pts, lift,
+                                                   layout, buffers)
+                assert same_bits(x, want[0])
+                assert (words is None) == (want[1] is None)
+                assert words is None or same_bits(words, want[1])
+                assert len(coeffs) == len(want[2])
+                assert all(map(same_bits, coeffs, want[2]))
+
+    def test_operator_terms_are_evaluated_once_per_fresh_batch(self):
+        sphere = problems.get("sphere")
+        calls = collections.Counter()
+
+        def counted(i, coeff):
+            def call(pts):
+                calls[i] += 1
+                return coeff(pts)
+            return call
+
+        # the cot and 1/sin^2 coefficients of terms 1 and 2
+        p = dataclasses.replace(sphere, terms=tuple(
+            (order, coord, counted(i, c) if callable(c) else c)
+            for i, (order, coord, c) in enumerate(sphere.terms)))
+        train(p, p.dictionary, TrainSettings(iterations=4, hidden_width=8,
+                                             n_pred=20, record_every=2))
+        # one PDE batch per iteration; the boundary and evaluation passes
+        # carry values alone
+        assert calls == {1: 4, 2: 4}
+
+    def test_training_and_verification_skip_the_jet_builders(self,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Jet2 input builder was called")
+
+        for name in ("eval_dictionary", "net_input_jet", "lift_sphere"):
+            monkeypatch.setattr(training, name, refuse)
+        monkeypatch.setattr(SlotLayout, "pack", refuse)
+        settings = TrainSettings(iterations=3, hidden_width=8, n_pred=50,
+                                 record_every=1)
+        sphere = problems.get("sphere")
+        train(sphere, sphere.dictionary, settings)
+        p = problems.get("poisson1d")
+        _, store = train(p, p.dictionary, settings)
+        # the verifier's chunks, two of them per interior request
+        verify_bound(store, p, p.dictionary, n_interior=2 * FORWARD_CHUNK,
+                     n_boundary=50)
 
 
 def overflowing_store():
@@ -637,14 +771,14 @@ class TestConcurrentChunks:
 
 
 def count_word_builds(monkeypatch):
-    """Point counts of every ``eval_dictionary`` call training makes."""
+    """Point counts of every ``write_words`` call training makes."""
     sizes = []
 
-    def counted(spec, points, derivatives=True):
+    def counted(spec, points, value, d1, d2):
         sizes.append(len(points))
-        return eval_dictionary(spec, points, derivatives)
+        return write_words(spec, points, value, d1, d2)
 
-    monkeypatch.setattr(training, "eval_dictionary", counted)
+    monkeypatch.setattr(training, "write_words", counted)
     return sizes
 
 
