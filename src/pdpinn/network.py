@@ -8,7 +8,8 @@ hand-written adjoint for the parameter gradient.  Its inputs are written
 straight into the slots (``training.predictor_slots``), and every array
 of a run or a verifier thread comes from one ``SlotBuffers`` pool;
 ``SlotLayout.pack`` of a ``Jet2`` is the reference they are checked
-against.
+against.  A slot pass tests its predictor slots for NaN/Inf once, and
+walks its layers again to say where only when that test fails.
 """
 
 from __future__ import annotations
@@ -226,7 +227,10 @@ class SlotPass:
     per-layer state and skips the tanh derivatives only the adjoint reads,
     so ``gradient`` is unavailable.  Work arrays come from ``buffers`` (a
     ``SlotBuffers``), or from a pool of the pass's own when it is None.
-    Every layer output is checked for NaN/Inf.
+    ``F`` is checked for NaN/Inf once, and a NaN/Inf in any layer output
+    reaches it; a failing pass walks its layers again to raise a
+    ``NonFiniteError`` naming the first layer, slot and row at fault, or
+    the fusion when every layer output is finite.
     """
 
     def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
@@ -238,17 +242,49 @@ class SlotPass:
         self.retain = retain
         self._take = (SlotBuffers() if buffers is None else buffers).take
         self.inputs = []                 # the input slots of every layer
-        self.hidden = []                 # (pre-activation, f1, f2, f3) per tanh
+        self.hidden = []                 # (z, f1, f2, f3, a_k z_k) per tanh
+        self.net = self._walk(x)
+        self.F = (self.net[..., 0] if words is None
+                  else self._fuse(words, self.net))
+        # a single reduction: any NaN/Inf poisons the sum
+        if not np.isfinite(np.sum(self.F)):
+            self._raise_nonfinite(x)
+
+    def _walk(self, x: np.ndarray, check: bool = False) -> np.ndarray:
+        """The network's output slots from the input slots ``x``; with
+        ``check``, each layer's output is tested for NaN/Inf."""
         h = x
-        for i, (W, b) in enumerate(layers):
-            if retain:
+        for i, (W, b) in enumerate(self.layers):
+            if self.retain:
                 self.inputs.append(h)
             h = self._affine(h, W, b, i)
-            if i < len(layers) - 1:
+            if i < len(self.layers) - 1:
                 h = self._tanh(h, i)
-            self._check_finite(h, i)
-        self.net = h
-        self.F = h[..., 0] if words is None else self._fuse(words, h)
+            if check:
+                self._check_finite(h, i)
+        return h
+
+    def _raise_nonfinite(self, x: np.ndarray) -> None:
+        """Name the first layer, slot and row of a NaN/Inf in ``F``.
+
+        Every such failure reaches ``F``: a NaN/Inf in any slot of a row
+        turns that row of the next GEMM non-finite in every unit, and
+        neither tanh (f1 >= 0, and 0 * inf is NaN) nor the fusion makes it
+        finite again.  So the layers are walked once more from ``x``, on a
+        pool of their own, checking each output; when all are finite the
+        words or their fusion are at fault.
+        """
+        bad = ~np.isfinite(self.F)                      # (S, n)
+        rows = np.any(bad, axis=0)
+        if not rows.any():
+            return                      # only the sum overflowed
+        self.retain, self._take = False, SlotBuffers().take
+        self._walk(x, check=True)
+        row = int(np.argmax(rows))
+        slot = int(np.argmax(bad[:, row]))
+        raise NonFiniteError(
+            f"non-finite {self.layout.name(slot)} in the fusion with the "
+            "words", row=row)
 
     def _key(self, role: str, i: int):
         # the adjoint reads every layer's arrays; a forward-only pass
@@ -264,9 +300,6 @@ class SlotPass:
         return z
 
     def _check_finite(self, h: np.ndarray, i: int) -> None:
-        # a single reduction: any NaN/Inf poisons the sum
-        if np.isfinite(np.sum(h)):
-            return
         bad = ~np.all(np.isfinite(h), axis=-1)          # (S, n)
         rows = np.any(bad, axis=0)
         if not rows.any():
@@ -296,7 +329,7 @@ class SlotPass:
 
         h = take("h", z.shape)
         t = np.tanh(z[0], out=h[0])
-        f1 = f2 = f3 = None
+        f1 = f2 = f3 = az = None
         derivatives = len(z) > 1
         if derivatives or self.retain:
             f1 = np.multiply(t, t, out=take("f1"))
@@ -311,20 +344,22 @@ class SlotPass:
             f3 *= t
             f3 -= 2.0
             f3 *= f1
-        if self.retain:
-            self.hidden.append((z, f1, f2, f3))
         if derivatives:
             np.multiply(z[1:], f1, out=h[1:])
         if op:
             z1 = z[1:1 + m]
-            sq = np.einsum("snw,snw->nw", self._weighted(z1, "az"), z1,
+            az = self._weighted(z1, self._key("az", i))
+            sq = np.einsum("snw,snw->nw", az, z1,
                            out=self._take("sq", (n, w)))
             sq *= f2
             h[-1] += sq
+        if self.retain:
+            self.hidden.append((z, f1, f2, f3, az))
         return h
 
-    def _tanh_adjoint(self, gh, z, f1, f2, f3) -> np.ndarray:
-        """dL/dz from gh = dL/dh, computed in place in gh."""
+    def _tanh_adjoint(self, gh, z, f1, f2, f3, az) -> np.ndarray:
+        """dL/dz from gh = dL/dh, computed in place in gh; ``az`` is the
+        forward's a_k z_k."""
         m, op = len(self.layout.d1), self.layout.operator
         if len(gh) == 1:
             # value slot alone: dL/dz = f1 dL/dh
@@ -337,8 +372,7 @@ class SlotPass:
             # the L slot reaches z_k through 2 f2 a_k z_k and z_0 through
             # f3 sum_k a_k z_k^2
             z1 = z[1:1 + m]
-            q = np.multiply(self._weighted(z1, "az"), gh[-1],
-                            out=self._take("q", z1.shape))
+            q = np.multiply(az, gh[-1], out=self._take("q", z1.shape))
             e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f1.shape))
             e2 *= f3
             e1 += e2
@@ -357,8 +391,9 @@ class SlotPass:
         T[1:] += np.multiply(C[0], N[1:], out=self._take("cn", N[1:].shape))
         if self.layout.operator:
             m = len(self.layout.d1)
-            c2 = np.einsum("snw,snw->nw", self._weighted(C[1:1 + m], "ac"),
-                           N[1:1 + m], out=self._take("cn2", N.shape[1:]))
+            self.ac = self._weighted(C[1:1 + m], "ac")
+            c2 = np.einsum("snw,snw->nw", self.ac, N[1:1 + m],
+                           out=self._take("cn2", N.shape[1:]))
             c2 *= 2.0
             T[-1] += c2
         return T.sum(axis=-1)
@@ -372,7 +407,7 @@ class SlotPass:
         np.multiply(C[0], gF[1:, :, None], out=g[1:])
         if self.layout.operator:
             m = len(self.layout.d1)
-            c2 = np.multiply(self._weighted(C[1:1 + m], "ac"), gF[-1, :, None],
+            c2 = np.multiply(self.ac, gF[-1, :, None],
                              out=self._take("cn2", g[1:1 + m].shape))
             c2 *= 2.0
             g[1:1 + m] += c2

@@ -9,7 +9,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -57,6 +57,11 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 0.001
+    # two scratch vectors of adam_step, which updates m and v in place
+    work: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.work = (np.empty_like(self.m), np.empty_like(self.m))
 
     @staticmethod
     def init(n_params: int, lr: float = 0.001) -> "AdamState":
@@ -468,11 +473,22 @@ def adam_step(state: AdamState, store: ParamStore, grad: np.ndarray) -> None:
     if grad.shape != state.m.shape:
         raise ValueError("gradient length does not match the optimizer state")
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    mhat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    vhat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    store.theta -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m, v, (s1, s2) = state.m, state.v, state.work
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, then
+    # theta -= lr mhat / (sqrt(vhat) + eps), each in the order written
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grad, out=s1)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=s1)
+    s1 *= grad
+    v += s1
+    step = np.divide(m, 1.0 - ADAM_BETA1 ** state.t, out=s1)     # mhat
+    denom = np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=s2)    # vhat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step *= state.lr
+    step /= denom
+    store.theta -= step
 
 
 # --------------------------------------------------------------------------

@@ -34,3 +34,14 @@ def test_run_benchmarks_writes_every_preset(tmp_path, capsys):
 def test_check_bounds_choices_come_from_the_records():
     with pytest.raises(SystemExit):
         load("check_bounds").main(["sphere", "--iterations", "2"])
+
+
+def test_fingerprint_prints_every_case(capsys):
+    assert load("fingerprint").main(["--iterations", "2"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    cases = {(pid, model) for pid, model, _, _ in lines}
+    assert len(cases) == 8
+    bound = {pid for pid, _, name, _ in lines if name == "bound"}
+    assert bound == {"poisson1d", "poisson2d"}
+    assert len(lines) == 3 * 8 + 2 * 2
+    assert all(len(digest) == 64 for *_, digest in lines)

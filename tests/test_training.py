@@ -11,6 +11,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdpinn import diffgraph as dg
 from pdpinn import problems, training
@@ -146,6 +148,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(state, store, np.zeros(store.n_params))
 
+    def test_steps_are_bitwise_the_out_of_place_formula(self, rng):
+        store = small_store(problems.get("sphere"), DictionarySpec("none"),
+                            False)
+        n = store.n_params
+        state = AdamState.init(n, lr=0.003)
+        theta, m, v = store.flat(), np.zeros(n), np.zeros(n)
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        for t in range(1, 201):
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3)
+            adam_step(state, store, g)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            mhat = m / (1.0 - b1 ** t)
+            vhat = v / (1.0 - b2 ** t)
+            theta -= 0.003 * mhat / (np.sqrt(vhat) + training.ADAM_EPS)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(store.flat(), theta)
+
 
 class TestPredictError:
     def test_zero_predictor_matches_quadrature(self):
@@ -241,6 +261,142 @@ class TestPredictError:
         assert err.value.row == row
         assert str(err.value) == ("non-finite d1[x] in the output of layer 2 "
                                   "of 2; batch point [0.05]")
+
+    def test_an_overflow_in_a_slot_the_loss_skips_is_reported(self):
+        # out = A tanh(10 x) with A = 2e307: near x = 0, d1 = 10 A f1
+        # overflows while the value A t and the operator slot 100 A f2,
+        # the only slot the PDE loss reads, stay finite
+        p = problems.get("poisson1d")
+        store = ParamStore([(np.array([[10.0]]), np.zeros(1)),
+                            (np.array([[2e307]]), np.zeros(1))])
+        pts = np.array([[5.0], [1e-4], [-7.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = mlp_forward(store.layers, Jet2.seed(pts))
+            with pytest.raises(NonFiniteError) as err:
+                empirical_pde_loss(store, p, DictionarySpec("none"),
+                                   SampleBatch(pts, "interior"))
+        assert np.all(np.isfinite(out.value)) and np.all(np.isfinite(out.d2))
+        assert not np.isfinite(out.d1[0, 1, 0])
+        assert err.value.row == 1
+        assert str(err.value) == ("non-finite d1[x] in the output of layer 2 "
+                                  "of 2; batch point [0.0001]")
+
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_nan_in_the_words_names_the_fusion(self, rng, retain):
+        p = problems.get("poisson1d")
+        store = small_store(p, p.dictionary, False)
+        pts = sample_interior(p, 10, rng).points
+        layout = operator_layout(p)
+        x, words, coeffs = predictor_slots(p, p.dictionary, pts, False, layout)
+        words[1, 6, 3] = np.nan                 # d1 of a word, at row 6
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            SlotPass(store.layers, layout, x, words, coeffs, retain=retain)
+        assert err.value.row == 6
+        assert str(err.value) == "non-finite d1[x] in the fusion with the words"
+
+    def test_nan_in_the_words_names_the_row_of_the_whole_batch(
+            self, monkeypatch):
+        p = problems.get("poisson1d")
+        store = small_store(p, p.dictionary, False)
+        pts = np.linspace(-9.0, 9.0, FORWARD_CHUNK + 100)[:, None]
+        row = FORWARD_CHUNK + 37                # in the second chunk
+        original = training.write_words
+
+        def planted(spec, points, value, d1, d2):
+            original(spec, points, value, d1, d2)
+            value[np.all(points == pts[row], axis=-1)] = np.nan
+
+        monkeypatch.setattr(training, "write_words", planted)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            predictor_fields(store, p, p.dictionary, pts, False, VALUES)
+        assert err.value.row == row
+        assert str(err.value) == (
+            "non-finite value in the fusion with the words; batch point "
+            f"{np.array2string(pts[row])}")
+
+
+def per_layer_walk(layers, layout, x, words, coeffs, retain):
+    """``SlotPass.F`` with every layer output tested as it is made, the
+    way each pass was checked before the single test of ``F``; then a
+    NaN/Inf left in ``F`` is blamed on the fusion.
+
+    The reference for the single test: whatever this raises, the pass must
+    raise with the same message and row.  It runs the pass's own layer
+    arithmetic, on a pool of its own.
+    """
+    walk = object.__new__(SlotPass)
+    walk.layers, walk.layout, walk.words = layers, layout, words
+    walk.coeffs, walk.retain = coeffs, retain
+    walk._take = SlotBuffers().take
+    walk.inputs, walk.hidden = [], []
+    h = x
+    for i, (W, b) in enumerate(layers):
+        h = walk._affine(h, W, b, i)
+        if i < len(layers) - 1:
+            h = walk._tanh(h, i)
+        walk._check_finite(h, i)
+    F = h[..., 0] if words is None else walk._fuse(words, h)
+    bad = ~np.isfinite(F)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=0)))
+        raise NonFiniteError(
+            f"non-finite {layout.name(int(np.argmax(bad[:, row])))} in the "
+            "fusion with the words", row=row)
+    return F
+
+
+def outcome(run):
+    """``(F, None)`` of a pass that returns, ``(None, (message, row))`` of
+    one that raises ``NonFiniteError``."""
+    try:
+        return run(), None
+    except NonFiniteError as e:
+        return None, (str(e), e.row)
+
+
+class TestSingleFiniteCheck:
+    """``SlotPass`` tests ``F`` alone, and reports what a test of every
+    layer output would."""
+
+    @given(st.sampled_from(("poisson1d", "sphere")),
+           st.sampled_from(("values", "coords", "operator")),
+           st.booleans(), st.booleans(), st.integers(1, 12),
+           st.integers(0, 2 ** 32 - 1),
+           st.lists(st.tuples(st.integers(1, 5),
+                              st.sampled_from((0, 1, 3, 160, 300, 308))),
+                    min_size=1, max_size=4),
+           st.sampled_from((0, 160, 308)))
+    @settings(max_examples=200, deadline=None)
+    def test_single_check_raises_what_the_per_layer_walk_raises(
+            self, pid, kind, dictionary, retain, n, seed, layers, word_scale):
+        p = problems.get(pid)
+        layout = {"values": VALUES, "coords": SlotLayout(p.coord_names),
+                  "operator": operator_layout(p)}[kind]
+        dspec = p.dictionary if dictionary else DictionarySpec("none")
+        lift = p.lift and dictionary
+        rng = np.random.default_rng(seed)
+        # the widths of the hidden layers, then the output's, each layer's
+        # weights scaled by 10**e so that some layers overflow
+        dims = [3 if lift else p.dim] + [w for w, _ in layers[:-1]]
+        dims.append(dspec.word_count)
+        pts = sample_interior(p, n, rng).points
+        with np.errstate(all="ignore"):
+            store = ParamStore([
+                (rng.normal(size=(fan_out, fan_in)) * 10.0 ** e,
+                 rng.normal(size=fan_out))
+                for fan_in, fan_out, (_, e) in zip(dims[:-1], dims[1:],
+                                                   layers)])
+            x, words, coeffs = predictor_slots(p, dspec, pts, lift, layout)
+            if words is not None:
+                words *= 10.0 ** word_scale
+            got, got_err = outcome(lambda: SlotPass(
+                store.layers, layout, x, words, coeffs, retain=retain).F)
+            want, want_err = outcome(lambda: per_layer_walk(
+                store.layers, layout, x, words, coeffs, retain))
+        assert got_err == want_err
+        assert got_err is not None or np.array_equal(got, want)
 
 
 PUBLISHED = [(pid, model) for pid in ALL_IDS for model in ("dictionary", "plain")]
