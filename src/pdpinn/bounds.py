@@ -22,8 +22,7 @@ from .network import VALUES, SlotLayout
 from .problems import (ProblemSpec, _near, boundary_value, ground_truth,
                        ground_truth_jet, rhs)
 from .sampling import sample_boundary, sample_interior
-from .training import (_map_in_order, operator_layout, pack_slots,
-                       predictor_fields_many)
+from .training import operator_layout, pack_slots, predictor_fields_many
 
 # sup refinement: local grid points and its radius as a domain fraction
 _REFINE_POINTS = 1000
@@ -143,21 +142,18 @@ def _check_arity(kind: str, vals, names) -> None:
 # Regularity constant
 # --------------------------------------------------------------------------
 
-def _unit_ball_draws(dim, n, rng):
-    """The random numbers of ``n`` unit-ball points, drawn in this order:
-    normal directions (n, dim), then uniform radii (n, 1)."""
-    return rng.normal(size=(n, dim)), rng.uniform(0.0, 1.0, size=(n, 1))
-
-
-def _unit_ball_points(dirs, u):
-    """Uniform sample inside the unit ball from ``_unit_ball_draws``;
-    rescale to any radius.  Normalises ``dirs`` in place.
+def _unit_ball_points(dim, n, rng):
+    """``n`` points drawn uniformly inside the unit ball, from normal
+    directions (n, dim) and then uniform radii (n, 1); rescale to any
+    radius.
 
     The norms are summed one column at a time, in the order
     ``np.linalg.norm(axis=1)`` sums a row, so the points are its bitwise.
     """
+    dirs = rng.normal(size=(n, dim))
+    u = rng.uniform(0.0, 1.0, size=(n, 1))
     dirs /= np.sqrt(functools.reduce(np.add, (d * d for d in dirs.T)))[:, None]
-    return dirs * u ** (1.0 / dirs.shape[1])
+    return dirs * u ** (1.0 / dim)
 
 
 def _exit_radii(domain, center, raw):
@@ -184,49 +180,38 @@ def _exit_radii(domain, center, raw):
         return np.where(b > 0.0, -c / (b + root), (root - b) / a)
 
 
-def _center_grid(domain, grid: int):
-    if isinstance(domain, Box):
-        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(domain.lo, domain.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-    # disk: polar grid plus explicit rim points (the infimum sits on the rim)
-    centers = [(domain.cx, domain.cy)]
-    for frac in np.linspace(0.25, 1.0, max(2, grid // 2)):
-        k = max(4, grid)
-        for ang in np.linspace(0.0, 2.0 * math.pi, k, endpoint=False):
-            centers.append((domain.cx + frac * domain.r * math.cos(ang),
-                            domain.cy + frac * domain.r * math.sin(ang)))
-    return np.asarray(centers)
-
-
-def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = None,
+def estimate_regularity(domain, mc_points: int = 100_000,
                         seed: int = 0) -> float:
-    """Smallest ratio |B(x,r) n Omega| / min(|Omega|, |B(x,r)|) on a grid.
+    """Estimate of the infimum of |B(x,r) n Omega| / min(|Omega|, |B(x,r)|)
+    over centres x in the domain and radii r.
 
-    Centers range over a grid of the closed domain (corners included, where
-    the infimum is attained for boxes); radii sweep up to past the measure
-    crossover.  Intervals (1-D boxes) use exact intersections measured from
-    the center; other boxes also get the exact corner value; everything
-    else is Monte Carlo with at least ``mc_points`` draws per center, shared
-    across radii: each draw's exit radius is taken in closed form and sorted
-    once, and one search counts the draws inside the ball of every radius.
-    The calling thread draws every center's random numbers in order while
-    the pool works on earlier centers, at most two centers per usable CPU
-    ahead of the results, so the result is the serial loop's bit for bit.
+    For a convex domain x -> |B(x,r) n Omega| is log-concave
+    (``_box_regularity``), so for every radius its minimum sits at an
+    extreme point: a corner of a box, all alike by reflection, or a rim
+    point of a disk, all alike by rotation.  An interval gives the exact
+    1/2.  Otherwise ``mc_points`` points are drawn in the unit ball about
+    the corner ``lo`` or the rim point (r, 0), in the domain's own frame,
+    so a translated copy gives the same estimate, and the ratio is read
+    at radii that sweep up to past the measure crossover: each draw's
+    exit radius is taken in closed form and sorted once, and one search
+    counts the draws inside the ball of every radius.  The minimum of
+    that one noisy curve may lie slightly above the true constant, as
+    well as below; a box's result is capped by its exact corner value
+    2^-d.
     """
     if not isinstance(domain, (Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
     if mc_points < 1:
         raise ValueError(f"mc_points must be at least 1, got {mc_points}")
-    if grid is not None and grid < 1:
-        raise ValueError(f"grid must be at least 1, got {grid}")
-    rng = np.random.default_rng(seed)
     dim = domain.dim
-    if grid is None:
-        grid = {1: 21, 2: 7, 3: 4}[dim]
+    if dim == 1:
+        return _box_regularity(domain.lo, domain.hi)[0]
     if isinstance(domain, Box):
-        diameter = float(np.linalg.norm(np.subtract(domain.hi, domain.lo)))
+        side = np.subtract(domain.hi, domain.lo)
+        frame, center = Box((0.0,) * dim, tuple(side)), np.zeros(dim)
+        diameter = float(np.linalg.norm(side))
     else:
+        frame, center = Disk(0.0, 0.0, domain.r), np.array([domain.r, 0.0])
         diameter = 2.0 * domain.r
     crossover = (domain.measure * math.gamma(dim / 2.0 + 1.0)
                  / math.pi ** (dim / 2.0)) ** (1.0 / dim)
@@ -234,31 +219,17 @@ def estimate_regularity(domain, mc_points: int = 100_000, grid: int | None = Non
         np.geomspace(diameter * 1e-3, diameter * 1.05, 24),
         crossover * np.linspace(0.8, 1.2, 9),
     ]))
-    centers = _center_grid(domain, grid)
-    if dim == 1:
-        # the part of [x - r, x + r] inside [a, b], measured from x, so a
-        # center on an end point keeps exactly r
-        (a,), (b,) = domain.lo, domain.hi
-        return float(min(1.0, *((min(r, b - x) + min(r, x - a))
-                                / min(domain.measure, 2.0 * r)
-                                for (x,) in centers for r in radii)))
-
     volume = ball_volume(dim, radii)
-    cap = np.minimum(domain.measure, volume)
-
-    def ratio(draws):
-        center, dirs, u = draws
-        exits = np.sort(_exit_radii(domain, center, _unit_ball_points(dirs, u)))
-        # a draw is inside the ball of radius r unless it exits before r
-        frac = (mc_points - np.searchsorted(exits, radii, side="left")) / mc_points
-        return float(np.min(frac * volume / cap))
-
-    best = min(1.0, *_map_in_order(ratio, (
-        (center, *_unit_ball_draws(dim, mc_points, rng)) for center in centers)))
+    raw = _unit_ball_points(dim, mc_points, np.random.default_rng(seed))
+    exits = np.sort(_exit_radii(frame, center, raw))
+    # a draw is inside the ball of radius r unless it exits before r
+    frac = (mc_points - np.searchsorted(exits, radii, side="left")) / mc_points
+    best = min(1.0, float(np.min(frac * volume
+                                 / np.minimum(domain.measure, volume))))
     if isinstance(domain, Box):
         # exact corner value for radii up to the shortest side
-        best = min(best, 0.5 ** domain.dim)
-    return float(best)
+        best = min(best, 0.5 ** dim)
+    return best
 
 
 # --------------------------------------------------------------------------

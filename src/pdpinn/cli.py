@@ -58,8 +58,6 @@ def main(argv=None) -> int:
     reg_p.add_argument("--domain", required=True,
                        help="interval:a,b | box:ax,bx,ay,by[,az,bz] | disk:cx,cy,r")
     reg_p.add_argument("--mc-points", type=int, default=100_000)
-    reg_p.add_argument("--grid", type=int, default=None,
-                       help="grid points per axis (default 21/7/4 in 1/2/3-D)")
 
     args = parser.parse_args(argv)
     try:
@@ -185,8 +183,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_regularity(args) -> int:
     domain = bounds.parse_domain(args.domain)
-    value = bounds.estimate_regularity(domain, mc_points=args.mc_points,
-                                       grid=args.grid)
+    value = bounds.estimate_regularity(domain, mc_points=args.mc_points)
     print(f"{value:.6f}")
     return 0
 

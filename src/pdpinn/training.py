@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import collections
 import contextvars
-import itertools
 import math
 import os
 import threading
@@ -182,10 +180,6 @@ def _write_coordinates(pts: np.ndarray, value, d1, d2) -> None:
     d2[...] = 0.0
 
 
-def _fresh(role, shape: tuple) -> np.ndarray:
-    return np.empty(shape)
-
-
 def _jet_slots(write, pts: np.ndarray, width: int, layout: SlotLayout,
                terms, take, name) -> np.ndarray:
     """The slots of ``layout`` of a jet of ``width`` entries per point,
@@ -217,7 +211,7 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
     words in the slots of ``layout``, and the second-order coefficients.
 
     The input and the words are written straight into arrays taken from
-    ``buffers`` (a ``SlotBuffers`` or one of its scopes; fresh arrays when
+    ``buffers`` (a ``SlotBuffers`` or one of its scopes; a fresh pool when
     None), the input in closed form and the words by their family.  The
     operator terms are evaluated once, and both L slots are
     ``operator_sum`` of them, so every slot is bitwise ``pack_slots`` of
@@ -227,7 +221,7 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
     """
     _check_lift(p, lift)
     pts = np.asarray(points, dtype=np.float64)
-    take = _fresh if buffers is None else buffers.take
+    take = (SlotBuffers() if buffers is None else buffers).take
     terms = operator_terms(p, pts) if layout.operator else ()
     coeffs = _second_order_coeffs(terms, layout) if layout.operator else ()
     x = _jet_slots(write_lifted if lift else _write_coordinates, pts,
@@ -238,23 +232,17 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
                          layout, terms, take, "words"), coeffs
 
 
-def _scope(buffers: SlotBuffers | None, name):
-    return None if buffers is None else buffers.scope(name)
-
-
 def _pass_inputs(role: str, p: ProblemSpec, dspec: DictionarySpec,
                  points: np.ndarray, lift: bool, layout: SlotLayout, target,
                  buffers: SlotBuffers | None):
-    """``(predictor_slots(...), target(p, points))`` for one pass role; with
-    a pool, the inputs are written into the role's own arrays, both built
-    again only when the role's points change."""
-    def build():
-        return (predictor_slots(p, dspec, points, lift, layout,
-                                _scope(buffers, role)),
-                target(p, points))
+    """``(predictor_slots(...), target(p, points))`` for one pass role, the
+    inputs written into the role's own arrays of ``buffers`` (a fresh pool
+    when None) and both built again only when the role's points change."""
     if buffers is None:
-        return build()
-    return buffers.memo(role, points, build)
+        buffers = SlotBuffers()
+    return buffers.memo(role, points, lambda: (
+        predictor_slots(p, dspec, points, lift, layout, buffers.scope(role)),
+        target(p, points)))
 
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
@@ -301,21 +289,15 @@ def _map_in_order(fn, args) -> list:
     """``[fn(a) for a in args]``, on the process's chunk pool when there
     are two usable CPUs and two arguments to share.
 
-    ``args`` may be any iterable, read lazily on the calling thread: at
-    most two arguments per usable CPU are in flight, the one being read
-    included, so a stream of large arguments never piles up in memory.
     Each call runs under a copy of the caller's context, so numpy's error
     state (a context variable) is the caller's.  The first failure in
     argument order is raised once the calls after it are cancelled or
     finished.
     """
+    args = list(args)
     workers = _usable_cpus()
-    if workers < 2:
+    if workers < 2 or len(args) < 2:
         return [fn(a) for a in args]
-    stream = iter(args)
-    head = list(itertools.islice(stream, 2))
-    if len(head) < 2:
-        return [fn(a) for a in head]
     global _chunk_pool
     with _chunk_pool_lock:
         if _chunk_pool is None:
@@ -323,20 +305,11 @@ def _map_in_order(fn, args) -> list:
             _chunk_pool = ThreadPoolExecutor(max_workers=workers,
                                              thread_name_prefix="pdpinn-chunk")
         pool = _chunk_pool
-    results, futures = [], collections.deque()
-
-    def submit(a):
-        futures.append(pool.submit(contextvars.copy_context().run, fn, a))
-        if len(futures) == 2 * workers:
-            results.append(futures.popleft().result())
-
+    futures = []
     try:
-        while head:                     # the list must not keep them alive
-            submit(head.pop(0))
-        for a in stream:
-            submit(a)
-        while futures:
-            results.append(futures.popleft().result())
+        for a in args:
+            futures.append(pool.submit(contextvars.copy_context().run, fn, a))
+        return [f.result() for f in futures]
     except BaseException:
         for f in futures:
             f.cancel()
@@ -344,7 +317,6 @@ def _map_in_order(fn, args) -> list:
             if not f.cancelled():
                 f.exception()           # waits for a running call
         raise
-    return results
 
 
 # The work arrays of the forward-only chunks, one pool per thread that
@@ -534,7 +506,7 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     eval_truth = ground_truth(p, eval_pts)
     buffers = SlotBuffers()
     eval_slots = predictor_slots(p, dspec, eval_pts, lift, VALUES,
-                                 _scope(buffers, "eval"))
+                                 buffers.scope("eval"))
 
     def current_error() -> float:
         F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False,

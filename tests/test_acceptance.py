@@ -17,15 +17,17 @@ import pytest
 from pdpinn import bounds, problems, training
 from pdpinn.dictionaries import DictionarySpec, eval_dictionary, fuse
 from pdpinn.diffgraph import Jet2
-from pdpinn.network import MlpConfig, init_mlp
+from pdpinn.network import VALUES, MlpConfig, SlotLayout, init_mlp
 from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
-                             ground_truth_jet, rhs)
+                             ground_truth_jet, operator_sum, operator_terms,
+                             rhs)
 from pdpinn.sampling import sample_boundary, sample_interior
 from pdpinn.training import (AdamState, TrainSettings, adam_step,
                              empirical_bc_loss, empirical_pde_loss,
+                             operator_layout, predictor_fields,
                              predictor_jets, train)
 
-from conftest import agree, fd_jet, fd_loss_gradient
+from conftest import agree, fd_jet, fd_loss_gradient, max_mixed_err
 
 pytestmark = pytest.mark.acceptance
 
@@ -70,10 +72,11 @@ def trained():
 
 
 def test_criterion_1_derivative_oracles():
-    """Fused predictor jets and loss gradients match finite differences."""
+    """Fused predictor jets, the forward-only slot pass and loss gradients
+    match finite differences."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
-    worst_jet, worst_grad = 0.0, 0.0
+    worst_jet, worst_fields, worst_grad = 0.0, 0.0, 0.0
     for pid in ALL_IDS:
         p = problems.get(pid)
         dspec = p.dictionary
@@ -94,6 +97,20 @@ def test_criterion_1_derivative_oracles():
                         np.max(np.abs(F.d1 - d1) / np.maximum(np.abs(d1), 1.0)),
                         np.max(np.abs(F.d2 - d2) / np.maximum(np.abs(d2), 1.0)))
 
+        # the pass that runs: its d1 slots, and its L slot against the
+        # operator applied to the differences of its own values
+        def fields(q, layout):
+            return predictor_fields(store, p, dspec, q, lift, layout)
+
+        d1, d2 = fd_jet(lambda q: fields(q, VALUES)[0], pts)
+        grad = fields(pts, SlotLayout(p.coord_names))[1:]
+        op = fields(pts, operator_layout(p))[-1]
+        op_fd = operator_sum(operator_terms(p, pts), d1, d2)
+        assert agree(grad, d1, 1e-5), pid
+        assert agree(op, op_fd, 1e-5), pid
+        worst_fields = max(worst_fields, max_mixed_err(grad, d1),
+                           max_mixed_err(op, op_fd))
+
         ibatch = sample_interior(p, 20, rng)
         bbatch = sample_boundary(p, 10, rng)
         for fn, batch in ((empirical_pde_loss, ibatch),
@@ -107,8 +124,9 @@ def test_criterion_1_derivative_oracles():
                 np.abs(grad[idx] - fd)
                 / np.maximum.reduce([np.abs(fd), np.abs(grad[idx]),
                                      np.ones_like(fd)])))
-    report(1, True, f"max jet FD error {worst_jet:.2e}, max gradient FD "
-                    f"error {worst_grad:.2e}, {time.perf_counter() - t0:.0f}s")
+    report(1, True, f"max jet FD error {worst_jet:.2e}, max slot-pass FD "
+                    f"error {worst_fields:.2e}, max gradient FD error "
+                    f"{worst_grad:.2e}, {time.perf_counter() - t0:.0f}s")
 
 
 def test_criterion_2_operator_rhs_consistency():

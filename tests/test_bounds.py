@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import threading
-import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -67,13 +66,65 @@ def disk_quadrant_area(a, b, r):
     return chord(x1) - chord(a) - b * (x1 - a)
 
 
-def disk_square_area(center, r, lo, hi):
-    """Area of B(center, r) n [lo, hi]^2 by inclusion-exclusion of the
-    quadrants at the square's corners."""
-    x0, x1 = lo - center[0], hi - center[0]
-    y0, y1 = lo - center[1], hi - center[1]
+def disk_rect_area(center, r, lo, hi):
+    """Area of B(center, r) n [lo[0], hi[0]] x [lo[1], hi[1]] by
+    inclusion-exclusion of the quadrants at the rectangle's corners."""
+    x0, x1 = lo[0] - center[0], hi[0] - center[0]
+    y0, y1 = lo[1] - center[1], hi[1] - center[1]
     return (disk_quadrant_area(x0, y0, r) - disk_quadrant_area(x1, y0, r)
             - disk_quadrant_area(x0, y1, r) + disk_quadrant_area(x1, y1, r))
+
+
+def disk_lens_area(d, big, r):
+    """Area shared by disks of radii ``big`` and ``r`` whose centres are
+    ``d`` apart."""
+    if d >= big + r:
+        return 0.0
+    if d <= abs(big - r):
+        return math.pi * min(big, r) ** 2
+
+    def sector(a, b):                   # of the disk of radius a
+        cos = (d * d + a * a - b * b) / (2.0 * d * a)
+        return a * a * math.acos(min(1.0, max(-1.0, cos)))
+
+    kite = math.sqrt(max(0.0, (-d + big + r) * (d + big - r) * (d - big + r)
+                         * (d + big + r)))
+    return sector(big, r) + sector(r, big) - 0.5 * kite
+
+
+def sweep_radii(diameter, crossover):
+    """Radii up to past the measure crossover, the crossover included."""
+    return np.unique(np.concatenate([
+        np.geomspace(diameter * 1e-3, diameter * 1.05, 40),
+        crossover * np.linspace(0.8, 1.2, 9)]))
+
+
+def rect_ratios(center, a):
+    """|B(center, r) n [0, a] x [0, 1]| / min(a, pi r^2) over a sweep."""
+    return [disk_rect_area(center, r, (0.0, 0.0), (a, 1.0))
+            / min(a, math.pi * r * r)
+            for r in sweep_radii(math.hypot(a, 1.0), math.sqrt(a / math.pi))]
+
+
+def disk_ratios(d):
+    """|B(x, r) n B(0, 1)| / min(pi, pi r^2) over a sweep, |x| = d."""
+    return [disk_lens_area(d, 1.0, r) / (math.pi * min(1.0, r * r))
+            for r in sweep_radii(2.0, 1.0)]
+
+
+def former_grid_centers(domain, grid):
+    """The centres the regularity estimate once swept: a tensor grid of a
+    box, corners included, or a polar grid of a disk with its centre."""
+    if isinstance(domain, Box):
+        axes = [np.linspace(lo, hi, grid) for lo, hi in zip(domain.lo, domain.hi)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+    centers = [(domain.cx, domain.cy)]
+    for frac in np.linspace(0.25, 1.0, max(2, grid // 2)):
+        for ang in np.linspace(0.0, 2.0 * math.pi, max(4, grid), endpoint=False):
+            centers.append((domain.cx + frac * domain.r * math.cos(ang),
+                            domain.cy + frac * domain.r * math.sin(ang)))
+    return np.asarray(centers)
 
 
 class TestPoissonBound:
@@ -155,7 +206,7 @@ class TestRegularity:
 
     def test_convex_domains_in_unit_range(self):
         for dom in (Box((-10,), (10,)), Box((0, 0), (2, 1)), Disk(0, 0, 1)):
-            r = estimate_regularity(dom, mc_points=5_000, grid=5)
+            r = estimate_regularity(dom, mc_points=5_000)
             assert 0.0 < r <= 1.0
 
     def test_unsupported_domain(self):
@@ -172,9 +223,13 @@ class TestRegularity:
                                                       diameter, seed):
         rng = np.random.default_rng(seed)
         radii = diameter * np.geomspace(1e-3, 1.05, 40)
-        for center in bounds._center_grid(domain, grid):
-            raw = bounds._unit_ball_points(
-                *bounds._unit_ball_draws(domain.dim, 2000, rng))
+        # the corner or rim point the estimate starts from, and the rest
+        if isinstance(domain, Box):
+            start = np.asarray(domain.lo)
+        else:
+            start = np.array([domain.cx + domain.r, domain.cy])
+        for center in [start, *former_grid_centers(domain, grid)]:
+            raw = bounds._unit_ball_points(domain.dim, 2000, rng)
             exits = np.sort(bounds._exit_radii(domain, center, raw))
             got = len(raw) - np.searchsorted(exits, radii, side="left")
             want = [np.count_nonzero(brute_inside(domain, center + raw * r))
@@ -211,7 +266,7 @@ class TestRegularity:
         radii = np.unique(np.concatenate([
             np.geomspace(side * 1e-3, side * 1.5, 30),
             cross * np.linspace(0.8, 1.2, 9)]))
-        area_ratio = min(disk_square_area((x, y), r, lo, hi)
+        area_ratio = min(disk_rect_area((x, y), r, (lo, lo), (hi, hi))
                          / min(side * side, math.pi * r * r)
                          for x in grid for y in grid for r in radii)
 
@@ -246,25 +301,60 @@ class TestRegularity:
                                                seed=seed))
         assert results[0] == results[1] == results[2]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_at_most_two_centers_per_cpu_hold_their_draws(
-            self, chunk_workers, monkeypatch, workers):
-        chunk_workers(workers)
-        drawn, alive = [], []
-        original = bounds._unit_ball_draws
+    @pytest.mark.parametrize("a", [1.0, 3.0, 10.0])
+    def test_rectangle_minimum_is_at_the_corner(self, a):
+        # exact areas over an 11 x 11 grid of centres, corners and edge
+        # midpoints included, against the corner (0, 0) alone
+        corner = min(rect_ratios((0.0, 0.0), a))
+        dense = min(min(rect_ratios((x, y), a))
+                    for x in np.linspace(0.0, a, 11)
+                    for y in np.linspace(0.0, 1.0, 11))
+        assert dense >= corner * (1.0 - 1e-12)
+        assert dense == pytest.approx(corner, rel=1e-12)
+        if a < math.pi:              # the crossover is inside the short side
+            assert corner == pytest.approx(0.25, rel=1e-12)
+        else:
+            assert corner == pytest.approx(0.168572, abs=1e-6)
 
-        def counted(dim, n, rng):
-            draws = original(dim, n, rng)
-            alive.append(sum(ref() is not None for ref in drawn))
-            drawn.extend(weakref.ref(a) for a in draws)
-            return draws
+    def test_disk_minimum_is_on_the_rim(self):
+        # exact lens areas over a 21 x 21 grid inside the unit disk and 32
+        # rim points, against the rim point (1, 0) alone
+        rim = min(disk_ratios(1.0))
+        axis = np.linspace(-1.0, 1.0, 21)
+        dists = [math.hypot(x, y) for x in axis for y in axis
+                 if math.hypot(x, y) <= 1.0]
+        dists += [math.hypot(math.cos(t), math.sin(t))
+                  for t in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)]
+        dense = min(min(disk_ratios(d)) for d in dists)
+        assert dense >= rim * (1.0 - 1e-12)
+        assert dense == pytest.approx(rim, rel=1e-12)
+        # attained at r = 1: the lens of two unit circles a radius apart
+        assert rim == pytest.approx(2.0 / 3.0 - math.sqrt(3.0) / (2.0 * math.pi),
+                                    rel=1e-12)
 
-        monkeypatch.setattr(bounds, "_unit_ball_draws", counted)
-        estimate_regularity(Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-                            mc_points=2_000)
-        assert len(alive) == 64
-        # each center draws two arrays; the newest draw is not counted
-        assert max(alive) <= 2 * (2 * workers)
+    @pytest.mark.parametrize("domain", [Box((0.0, 0.0), (10.0, 1.0)),
+                                        Disk(0.0, 0.0, 1.0)])
+    def test_estimate_is_within_six_sigma_of_the_exact_minimum(self, domain):
+        exact = min(rect_ratios((0.0, 0.0), 10.0) if isinstance(domain, Box)
+                    else disk_ratios(1.0))
+        n = 100_000
+        sigma = math.sqrt(exact * (1.0 - exact) / n)
+        got = estimate_regularity(domain, mc_points=n, seed=0)
+        assert abs(got - exact) <= 6.0 * sigma
+
+    @pytest.mark.parametrize("moved,origin", [
+        (Disk(1e17, -1e17, 1.0), Disk(0.0, 0.0, 1.0)),
+        (Disk(-3.5, 2.25, 2.0), Disk(0.0, 0.0, 2.0)),
+        (Box((2.0 ** 40, -2.0 ** 40), (2.0 ** 40 + 10.0, 1.0 - 2.0 ** 40)),
+         Box((0.0, 0.0), (10.0, 1.0))),
+        (Box((-7.5, 3.25, 1e6), (-6.5, 4.25, 1e6 + 1.0)),
+         Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))),
+    ])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_translated_domain_gives_its_origin_copys_estimate(
+            self, moved, origin, seed):
+        assert (estimate_regularity(moved, mc_points=4_000, seed=seed)
+                == estimate_regularity(origin, mc_points=4_000, seed=seed))
 
     def test_parse_domain_round_trips(self):
         assert parse_domain("interval:0,1") == Box((0.0,), (1.0,))
@@ -313,9 +403,7 @@ class TestRegularity:
             return
         assert 0.0 < domain.measure < math.inf
 
-    def test_empty_grid_and_sample_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            estimate_regularity(Box((0.0,), (1.0,)), grid=0)
+    def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="mc_points"):
             estimate_regularity(Box((0.0, 0.0), (1.0, 1.0)), mc_points=0)
 

@@ -470,7 +470,7 @@ class TestRegularityCommand:
     def test_interval(self, capsys):
         rc = cli.main(["regularity", "--domain", "interval:0,1"])
         assert rc == 0
-        assert abs(float(capsys.readouterr().out) - 0.5) < 0.03
+        assert capsys.readouterr().out == "0.500000\n"
 
     def test_bad_domain(self, capsys):
         rc = cli.main(["regularity", "--domain", "octagon:1"])
@@ -496,18 +496,26 @@ class TestRegularityCommand:
         assert "interval field b" in capsys.readouterr().err
 
     @pytest.mark.parametrize("domain", ["disk:0,0,1", "box:0,1,0,1,0,1"])
-    def test_default_grid_is_the_library_default(self, capsys, domain):
+    def test_prints_the_library_estimate(self, capsys, domain):
         rc = cli.main(["regularity", "--domain", domain, "--mc-points", "500"])
         assert rc == 0
         want = estimate_regularity(parse_domain(domain), mc_points=500)
         assert capsys.readouterr().out == f"{want:.6f}\n"
 
-    @pytest.mark.parametrize("flag", ["--grid", "--mc-points"])
-    def test_zero_grid_or_samples_exits_2(self, capsys, flag):
-        rc = cli.main(["regularity", "--domain", "interval:0,1", flag, "0"])
+    def test_zero_samples_exits_2(self, capsys):
+        rc = cli.main(["regularity", "--domain", "interval:0,1",
+                       "--mc-points", "0"])
         captured = capsys.readouterr()
         assert rc == 2
-        assert flag.lstrip("-").replace("-", "_") in captured.err
+        assert "mc_points" in captured.err
+        assert captured.out == ""
+
+    def test_grid_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["regularity", "--domain", "box:0,1,0,1", "--grid", "5"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --grid 5" in captured.err
         assert captured.out == ""
 
 
