@@ -97,10 +97,6 @@ class Disk(_Domain):
         return math.pi * (self.r * self.r)
 
 
-def ball_volume(dim: int, r) -> np.ndarray:
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * np.asarray(r) ** dim
-
-
 _DOMAIN_FIELDS = {"interval": ("a", "b"),
                   "box": ("ax", "bx", "ay", "by", "az", "bz"),
                   "disk": ("cx", "cy", "r")}
@@ -156,48 +152,32 @@ def _unit_ball_points(dim, n, rng):
     return dirs * u ** (1.0 / dim)
 
 
-def _exit_radii(domain, center, raw):
-    """Radius at which each ray ``center + r * raw[i]`` leaves the domain.
-
-    The center lies in the closed box or disk, so the point is inside for
-    0 <= r <= the exit radius and outside beyond it.
-    """
-    if isinstance(domain, Box):
-        # per coordinate, the face the ray heads for; the nearest one wins
-        face = np.where(raw > 0, np.subtract(domain.hi, center),
-                        np.subtract(domain.lo, center))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hits = np.where(raw == 0.0, np.inf, face / raw)
-        return functools.reduce(np.minimum, hits.T)
-    # disk: larger root of a r^2 + 2 b r + c = 0, i.e. |d + r u|^2 = R^2
-    d = np.subtract(center, (domain.cx, domain.cy))
-    a = np.einsum("ij,ij->i", raw, raw)
-    b = raw @ d
-    c = d @ d - domain.r ** 2
-    root = np.sqrt(np.maximum(b * b - a * c, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # the form without cancellation on each side of b = 0
-        return np.where(b > 0.0, -c / (b + root), (root - b) / a)
-
-
 def estimate_regularity(domain, mc_points: int = 100_000,
                         seed: int = 0) -> float:
     """Estimate of the infimum of |B(x,r) n Omega| / min(|Omega|, |B(x,r)|)
     over centres x in the domain and radii r.
 
-    For a convex domain x -> |B(x,r) n Omega| is log-concave
+    Which centre: for a convex domain x -> |B(x,r) n Omega| is log-concave
     (``_box_regularity``), so for every radius its minimum sits at an
-    extreme point: a corner of a box, all alike by reflection, or a rim
-    point of a disk, all alike by rotation.  An interval gives the exact
-    1/2.  Otherwise ``mc_points`` points are drawn in the unit ball about
-    the corner ``lo`` or the rim point (r, 0), in the domain's own frame,
-    so a translated copy gives the same estimate, and the ratio is read
-    at radii that sweep up to past the measure crossover: each draw's
-    exit radius is taken in closed form and sorted once, and one search
-    counts the draws inside the ball of every radius.  The minimum of
-    that one noisy curve may lie slightly above the true constant, as
-    well as below; a box's result is capped by its exact corner value
-    2^-d.
+    extreme point x*: a corner of a box, all alike by reflection, or a rim
+    point of a disk, all alike by rotation.
+
+    Which radius: a ray from x* leaves a convex domain at most once, so
+    if x* + r u lies in the domain, so does x* + s u for every s <= r.  The
+    in-domain share |B(x*,r) n Omega| / |B(x*,r)|, the share of unit-ball
+    points u with x* + r u in the domain, therefore never grows with r.
+    Up to the crossover radius r*, where |B(x*,r*)| = |Omega|, the ratio
+    is that share, so it falls to its value at r*; beyond, it is
+    |B(x*,r) n Omega| / |Omega|, which grows with r.  The infimum is
+    therefore the share at r*.
+
+    An interval gives the exact 1/2.  Otherwise the estimate is the share
+    of ``mc_points`` unit-ball draws that lie in the closed domain once
+    scaled by r* and shifted to the corner ``lo`` or the rim point (r, 0),
+    in the domain's own frame, so a translated copy gives the same
+    estimate.  It is a binomial share with sigma = sqrt(c (1 - c) / n).
+    A box's result is capped by 2^-d, the orthant of the ball at a corner,
+    which the true share never exceeds.
     """
     if not isinstance(domain, (Box, Disk)):
         raise UnsupportedDomainError(f"unsupported domain {domain!r}")
@@ -206,30 +186,19 @@ def estimate_regularity(domain, mc_points: int = 100_000,
     dim = domain.dim
     if dim == 1:
         return _box_regularity(domain.lo, domain.hi)[0]
-    if isinstance(domain, Box):
-        side = np.subtract(domain.hi, domain.lo)
-        frame, center = Box((0.0,) * dim, tuple(side)), np.zeros(dim)
-        diameter = float(np.linalg.norm(side))
-    else:
-        frame, center = Disk(0.0, 0.0, domain.r), np.array([domain.r, 0.0])
-        diameter = 2.0 * domain.r
     crossover = (domain.measure * math.gamma(dim / 2.0 + 1.0)
                  / math.pi ** (dim / 2.0)) ** (1.0 / dim)
-    radii = np.unique(np.concatenate([
-        np.geomspace(diameter * 1e-3, diameter * 1.05, 24),
-        crossover * np.linspace(0.8, 1.2, 9),
-    ]))
-    volume = ball_volume(dim, radii)
-    raw = _unit_ball_points(dim, mc_points, np.random.default_rng(seed))
-    exits = np.sort(_exit_radii(frame, center, raw))
-    # a draw is inside the ball of radius r unless it exits before r
-    frac = (mc_points - np.searchsorted(exits, radii, side="left")) / mc_points
-    best = min(1.0, float(np.min(frac * volume
-                                 / np.minimum(domain.measure, volume))))
+    pts = crossover * _unit_ball_points(dim, mc_points,
+                                        np.random.default_rng(seed))
     if isinstance(domain, Box):
-        # exact corner value for radii up to the shortest side
-        best = min(best, 0.5 ** dim)
-    return best
+        side = np.subtract(domain.hi, domain.lo)
+        inside = np.all((pts >= 0.0) & (pts <= side), axis=1)
+        cap = 0.5 ** dim
+    else:
+        pts[:, 0] += domain.r
+        inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= domain.r ** 2
+        cap = 1.0
+    return min(np.count_nonzero(inside) / mc_points, cap)
 
 
 # --------------------------------------------------------------------------

@@ -50,8 +50,6 @@ def default_out_dir() -> str:
     return os.environ.get(ENV_OUT_DIR, "runs")
 
 
-# fields older files may set that no longer do anything; they are skipped
-_RETIRED_FIELDS = {"deterministic"}
 # the sections a file may hold besides [DEFAULT], in the order they are read
 _SECTIONS = ("network", "training", "experiment")
 # the settings written under [network]; every other setting goes to [training]
@@ -124,7 +122,7 @@ def load_config(path) -> ExperimentConfig:
                     and key not in parser.defaults()):
                 raise ValueError(f"{path}: {section}.{key} belongs under "
                                  "[experiment]")
-            if key in ("problem", "dictionary") or key in _RETIRED_FIELDS:
+            if key in ("problem", "dictionary"):
                 continue
             if key not in names:
                 raise ValueError(f"{path}: unknown field {section}.{key}")

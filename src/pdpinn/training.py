@@ -232,19 +232,6 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
                          layout, terms, take, "words"), coeffs
 
 
-def _pass_inputs(role: str, p: ProblemSpec, dspec: DictionarySpec,
-                 points: np.ndarray, lift: bool, layout: SlotLayout, target,
-                 buffers: SlotBuffers | None):
-    """``(predictor_slots(...), target(p, points))`` for one pass role, the
-    inputs written into the role's own arrays of ``buffers`` (a fresh pool
-    when None) and both built again only when the role's points change."""
-    if buffers is None:
-        buffers = SlotBuffers()
-    return buffers.memo(role, points, lambda: (
-        predictor_slots(p, dspec, points, lift, layout, buffers.scope(role)),
-        target(p, points)))
-
-
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
                points: np.ndarray, start: int = 0,
                retain: bool = True,
@@ -381,46 +368,54 @@ def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 # Empirical losses
 # --------------------------------------------------------------------------
 
-def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
-                       batch: SampleBatch, lift: bool = False,
-                       buffers: SlotBuffers | None = None):
-    """Mean squared PDE residual over an interior batch, with gradient.
+def _mean_square_loss(role: str, store: ParamStore, p: ProblemSpec,
+                      dspec: DictionarySpec, points: np.ndarray, lift: bool,
+                      layout: SlotLayout, target, buffers: SlotBuffers | None):
+    """Mean square of the last slot of ``layout`` minus ``target(p,
+    points)``, with its gradient.
 
-    The pass carries the operator slot, so the residual is F_L - q and
     dL/dF is 2 r / n on that slot alone.  The pass takes its work arrays
-    from ``buffers``, or fresh ones when None; a pool also keeps the words,
-    network input and q of the last batch, reused while the points repeat.
+    from ``buffers``, or a fresh pool when None.  The inputs and the
+    target are written into the role's own arrays of the pool and built
+    again only when the role's points change.
     """
-    if batch.region != "interior":
-        raise ValueError("PDE loss needs an interior batch")
-    pts = batch.points
-    layout = operator_layout(p)
-    slots, q = _pass_inputs("pde", p, dspec, pts, lift, layout, rhs, buffers)
-    fwd = _slot_pass(store, layout, slots, pts, buffers=buffers)
-    r = fwd.F[-1] - q
+    if buffers is None:
+        buffers = SlotBuffers()
+    slots, want = buffers.memo(role, points, lambda: (
+        predictor_slots(p, dspec, points, lift, layout, buffers.scope(role)),
+        target(p, points)))
+    fwd = _slot_pass(store, layout, slots, points, buffers=buffers)
+    r = fwd.F[-1] - want
     gF = np.zeros_like(fwd.F)
     gF[-1] = (2.0 / r.size) * r
     return float(np.mean(r * r)), fwd.gradient(gF)
 
 
+def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
+                       batch: SampleBatch, lift: bool = False,
+                       buffers: SlotBuffers | None = None):
+    """Mean squared PDE residual F_L - q over an interior batch, with
+    gradient; the pass carries the operator slot.  A pool keeps the words,
+    network input and q of the last batch, reused while the points repeat.
+    """
+    if batch.region != "interior":
+        raise ValueError("PDE loss needs an interior batch")
+    return _mean_square_loss("pde", store, p, dspec, batch.points, lift,
+                             operator_layout(p), rhs, buffers)
+
+
 def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                       batch: SampleBatch, lift: bool = False,
                       buffers: SlotBuffers | None = None):
-    """Mean squared boundary mismatch over a boundary batch, with gradient.
-
-    Only values enter, so the pass carries the value slot alone.  The pass
-    takes its work arrays from ``buffers``, or fresh ones when None; a pool
-    also keeps the inputs and boundary data of the last batch, reused while
-    the points repeat (the fixed boundary points of poisson1d and sphere).
+    """Mean squared boundary mismatch over a boundary batch, with gradient;
+    only values enter, so the pass carries the value slot alone.  A pool
+    keeps the inputs and boundary data of the last batch, reused while the
+    points repeat (the fixed boundary points of poisson1d and sphere).
     """
     if batch.region != "boundary":
         raise ValueError("BC loss needs a boundary batch")
-    pts = batch.points
-    slots, data = _pass_inputs("bc", p, dspec, pts, lift, VALUES,
-                               boundary_value, buffers)
-    fwd = _slot_pass(store, VALUES, slots, pts, buffers=buffers)
-    m = fwd.F[0] - data
-    return float(np.mean(m * m)), fwd.gradient((2.0 / m.size) * m[None])
+    return _mean_square_loss("bc", store, p, dspec, batch.points, lift,
+                             VALUES, boundary_value, buffers)
 
 
 def predict_error(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,

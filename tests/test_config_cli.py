@@ -2,6 +2,7 @@ import configparser
 import contextlib
 import io
 import json
+import math
 import re
 import struct
 from dataclasses import fields
@@ -84,13 +85,15 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown problem"):
             config.load_config(path)
 
-    def test_retired_deterministic_field_still_loads(self, tmp_path):
+    def test_retired_deterministic_field_exits_2_naming_it(self, tmp_path):
         path = tmp_path / "old.ini"
         path.write_text("[experiment]\nproblem = poisson1d\n"
                         "[training]\ndeterministic = true\nseed = 3\n")
-        cfg = config.load_config(path)
-        assert cfg.seed == 3
-        assert not hasattr(cfg, "deterministic")
+        message = f"{path}: unknown field training.deterministic"
+        with pytest.raises(ValueError) as info:
+            config.load_config(path)
+        assert str(info.value) == message
+        assert run_exit_code(path) == (2, f"error: {message}\n")
 
     def test_problem_inherited_from_default_section_loads(self, tmp_path):
         path = tmp_path / "default.ini"
@@ -145,7 +148,7 @@ def run_exit_code(path):
 
 # the field names, the sections and values a config file may hold, and a
 # misspelt section
-FIELD_NAMES = [f.name for f in fields(config.ExperimentConfig)] + ["deterministic"]
+FIELD_NAMES = [f.name for f in fields(config.ExperimentConfig)]
 SECTIONS = ["experiment", "network", "training", "DEFAULT", "trainng"]
 VALUES = ["poisson1d", "sphere", "fourier1d:3", "none", "true", "no", "0", "-1",
           "7", "1e-3", "nan", "inf", "", "runs%x", "%(seed)s", "fourier2d:2,"]
@@ -501,6 +504,17 @@ class TestRegularityCommand:
         assert rc == 0
         want = estimate_regularity(parse_domain(domain), mc_points=500)
         assert capsys.readouterr().out == f"{want:.6f}\n"
+
+    def test_long_box_prints_a_positive_share(self, capsys):
+        rc = cli.main(["regularity", "--domain", "box:0,100,0,1,0,1",
+                       "--mc-points", "5000"])
+        assert rc == 0
+        got = float(capsys.readouterr().out)
+        reference = estimate_regularity(parse_domain("box:0,100,0,1,0,1"),
+                                        mc_points=1_000_000, seed=1)
+        sigma = math.sqrt(reference * (1.0 - reference) / 5000)
+        assert got > 0.0
+        assert abs(got - reference) <= 6.0 * sigma
 
     def test_zero_samples_exits_2(self, capsys):
         rc = cli.main(["regularity", "--domain", "interval:0,1",
