@@ -302,6 +302,58 @@ class TestRegularity:
         assert got > 0.0
         assert abs(got - reference) <= 6.0 * sigma
 
+    @pytest.mark.parametrize("domain", [
+        Box((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        Box((0.0, 0.0), (1.0, 1.0)),
+        Box((0.0, 0.0), (3.0, 1.0)),
+        Box((0.0, 0.0), (10.0, 1.0)),
+        Box((0.0, 0.0, 0.0), (10.0, 1.0, 1.0)),
+        Disk(0.0, 0.0, 1.0),
+        Disk(-3.5, 2.25, 2.0),
+    ], ids=["cube", "square", "rect3", "rect10", "box10", "disk", "offset-disk"])
+    def test_estimate_is_the_least_share_of_its_draws_up_to_the_crossover(
+            self, domain):
+        # the estimate's own draws about the extreme point, scaled to 40
+        # radii up to the crossover r*: the in-domain share never rises, so
+        # no smaller radius reads below the share at r* that is returned
+        n, seed = 2_000, 3
+        dim = domain.dim
+        crossover = (domain.measure * math.gamma(dim / 2.0 + 1.0)
+                     / math.pi ** (dim / 2.0)) ** (1.0 / dim)
+        unit = bounds._unit_ball_points(dim, n, np.random.default_rng(seed))
+
+        def share(r):
+            pts = r * unit
+            if isinstance(domain, Box):
+                side = np.subtract(domain.hi, domain.lo)
+                inside = np.all((pts >= 0.0) & (pts <= side), axis=1)
+            else:
+                pts[:, 0] += domain.r
+                inside = pts[:, 0] ** 2 + pts[:, 1] ** 2 <= domain.r ** 2
+            return np.count_nonzero(inside) / n
+
+        shares = [share(r) for r in crossover * np.linspace(0.025, 1.0, 40)]
+        assert all(a >= b for a, b in zip(shares, shares[1:]))
+        cap = 0.5 ** dim if isinstance(domain, Box) else 1.0
+        got = estimate_regularity(domain, mc_points=n, seed=seed)
+        assert got == min(shares[-1], cap)
+        assert got <= min(shares)
+
+    @pytest.mark.parametrize("box", [Box((0.0, 0.0), (1000.0, 1.0)),
+                                     Box((0.0, 0.0, 0.0), (10.0, 1.0, 1.0)),
+                                     Box((0.0, 0.0, 0.0), (30.0, 1.0, 1.0))],
+                             ids=["rect1000", "box10", "box30"])
+    def test_elongated_box_reads_within_six_sigma_at_few_draws(self, box):
+        # the crossover lies past the short sides, where a reading further
+        # out would find a nearly empty ball
+        reference = estimate_regularity(box, mc_points=1_000_000, seed=1)
+        n = 2_000
+        sigma = math.sqrt(reference * (1.0 - reference) / n)
+        for seed in range(5):
+            got = estimate_regularity(box, mc_points=n, seed=seed)
+            assert got > 0.0
+            assert abs(got - reference) <= 6.0 * sigma
+
     @pytest.mark.parametrize("domain", [Box((0.0, 0.0), (10.0, 1.0)),
                                         Disk(0.0, 0.0, 1.0)])
     def test_estimate_is_within_six_sigma_of_the_exact_minimum(self, domain):
