@@ -9,7 +9,13 @@ straight into the slots (``training.predictor_slots``), and every array
 of a run or a verifier thread comes from one ``SlotBuffers`` pool;
 ``SlotLayout.pack`` of a ``Jet2`` is the reference they are checked
 against.  A slot pass tests its predictor slots for NaN/Inf once, and
-walks its layers again to say where only when that test fails.
+walks its layers again to say where only when that test fails.  The
+adjoint of a retained pass writes each layer's adjoint over that layer's
+input and builds tanh''' itself, so a pass's gradient can be taken once.
+Training evaluates its recorded error with forward-only passes of
+``training.FORWARD_CHUNK`` points; after two published iterations a run's
+pool holds about 18.5 MiB on poisson2d, 14.5-15.0 on diffusion1d, 4.7-4.9
+on sphere and 2.2-2.3 on poisson1d (dictionary and plain models).
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ from .diffgraph import (Jet2, NonFiniteError, ParamStore, affine,
 
 _CKPT_MAGIC = b"MLPC"
 _CKPT_VERSION = 1
+
+
+class GradientUnavailableError(RuntimeError):
+    """``SlotPass.gradient`` on a pass that cannot give one: a forward-only
+    pass, or one whose gradient was already taken."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,11 @@ class SlotBuffers:
     jet pages once instead of on every pass.  Roles never share memory;
     the arrays of a pass (its ``net``, and ``F`` of a plain network) hold
     only until the next pass on the same buffers, and ``SlotPass.gradient``
-    always returns a fresh array.  ``scope(name)`` serves the roles
+    always returns a fresh array.  A retained pass takes one array per
+    layer for each of z, h, f1, f2 (and a_k z_k), and its adjoint takes
+    none of its own: it goes over the consumed layer inputs h and the
+    fusion product, with one tanh''' array and one set of einsum scratch
+    arrays shared by all layers.  ``scope(name)`` serves the roles
     ``(name, role)``, so each set of pass inputs (``predictor_slots``)
     keeps arrays of its own.  ``memo`` keeps one built input per role.
     A pool serves one run or one thread, so each memo role always means
@@ -223,10 +238,16 @@ class SlotPass:
     one, a float, or an (n, 1) array; the L slot propagates through them.
     Each affine map is one GEMM on the contiguous (S*n, width) view.  The
     predictor slots end up in ``F`` (shape (S, n)); ``gradient`` is the
-    hand-written adjoint.  With ``retain=False`` the pass keeps no
+    hand-written adjoint.  It writes each layer's adjoint dL/dh over that
+    layer's input h once the layer's weight gradient is formed, the
+    fusion's adjoint over the fusion product, and builds tanh''' from h
+    just before; the input slots ``x`` are never written.  So ``gradient``
+    can be called once per pass, and a second call raises
+    ``GradientUnavailableError``.  With ``retain=False`` the pass keeps no
     per-layer state and skips the tanh derivatives only the adjoint reads,
-    so ``gradient`` is unavailable.  Work arrays come from ``buffers`` (a
-    ``SlotBuffers``), or from a pool of the pass's own when it is None.
+    so ``gradient`` raises that error too.  Work arrays come from
+    ``buffers`` (a ``SlotBuffers``), or from a pool of the pass's own when
+    it is None.
     ``F`` is checked for NaN/Inf once, and a NaN/Inf in any layer output
     reaches it; a failing pass walks its layers again to raise a
     ``NonFiniteError`` naming the first layer, slot and row at fault, or
@@ -240,9 +261,10 @@ class SlotPass:
         self.layers, self.layout, self.words = layers, layout, words
         self.coeffs = coeffs
         self.retain = retain
+        self.spent = False               # gradient taken, inputs overwritten
         self._take = (SlotBuffers() if buffers is None else buffers).take
         self.inputs = []                 # the input slots of every layer
-        self.hidden = []                 # (z, f1, f2, f3, a_k z_k) per tanh
+        self.hidden = []                 # (z, f1, f2, a_k z_k) per tanh
         self.net = self._walk(x)
         self.F = (self.net[..., 0] if words is None
                   else self._fuse(words, self.net))
@@ -303,7 +325,7 @@ class SlotPass:
         bad = ~np.all(np.isfinite(h), axis=-1)          # (S, n)
         rows = np.any(bad, axis=0)
         if not rows.any():
-            return                                      # only the sum overflowed
+            return                      # this layer's output is finite
         row = int(np.argmax(rows))
         slot = int(np.argmax(bad[:, row]))
         raise NonFiniteError(
@@ -329,21 +351,16 @@ class SlotPass:
 
         h = take("h", z.shape)
         t = np.tanh(z[0], out=h[0])
-        f1 = f2 = f3 = az = None
+        f1 = f2 = az = None
         derivatives = len(z) > 1
         if derivatives or self.retain:
             f1 = np.multiply(t, t, out=take("f1"))
             np.subtract(1.0, f1, out=f1)
-        # the adjoint reaches f2 through the derivative slots and f3
-        # through L alone, so a value-only pass needs neither
+        # the adjoint reaches f2 through the derivative slots, so a
+        # value-only pass needs none; ``gradient`` builds tanh''' itself
         if op or (derivatives and self.retain):
             f2 = np.multiply(t, -2.0, out=take("f2"))
             f2 *= f1
-        if op and self.retain:
-            f3 = np.multiply(t, 6.0, out=take("f3"))
-            f3 *= t
-            f3 -= 2.0
-            f3 *= f1
         if derivatives:
             np.multiply(z[1:], f1, out=h[1:])
         if op:
@@ -354,12 +371,12 @@ class SlotPass:
             sq *= f2
             h[-1] += sq
         if self.retain:
-            self.hidden.append((z, f1, f2, f3, az))
+            self.hidden.append((z, f1, f2, az))
         return h
 
     def _tanh_adjoint(self, gh, z, f1, f2, f3, az) -> np.ndarray:
         """dL/dz from gh = dL/dh, computed in place in gh; ``az`` is the
-        forward's a_k z_k."""
+        forward's a_k z_k and ``f3`` is tanh''' (None without L)."""
         m, op = len(self.layout.d1), self.layout.operator
         if len(gh) == 1:
             # value slot alone: dL/dz = f1 dL/dh
@@ -399,10 +416,11 @@ class SlotPass:
         return T.sum(axis=-1)
 
     def _fuse_adjoint(self, gF: np.ndarray) -> np.ndarray:
+        """dL/dN, written over the fusion product T, dead once F = T.sum."""
         C = self.words
         if C is None:
             return gF[..., None]
-        g = self._take("gnet", self.net.shape)
+        g = self._take("T", C.shape)
         np.einsum("sn,snw->nw", gF, C, out=g[0])
         np.multiply(C[0], gF[1:, :, None], out=g[1:])
         if self.layout.operator:
@@ -414,7 +432,20 @@ class SlotPass:
         return g
 
     def gradient(self, gF: np.ndarray) -> np.ndarray:
-        """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF."""
+        """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF.
+
+        Each layer's adjoint dL/dh is written over that layer's input h
+        once its weight gradient is formed, so the gradient of a pass can
+        be taken once; the input slots ``x`` of the pass are never written.
+        """
+        if not self.retain:
+            raise GradientUnavailableError(
+                "a pass with retain=False keeps no state for its gradient")
+        if self.spent:
+            raise GradientUnavailableError(
+                "the gradient of a pass can be taken once: it writes each "
+                "layer's adjoint over that layer's input")
+        self.spent = True
         g = self._fuse_adjoint(gF)
         grad = np.empty(sum(W.size + b.size for W, b in self.layers))
         views = layer_views([W.shape for W, _ in self.layers], grad)
@@ -426,11 +457,19 @@ class SlotPass:
             np.matmul(g2.T, x.reshape(S * n, w), out=dW)
             np.sum(g[0], axis=0, out=db)
             if i:
-                # alternate two buffers so the GEMM never writes over its
-                # own input, which numpy would first copy
-                gh = self._take(("gh", i % 2), (S, n, w))
-                np.matmul(g2, W, out=gh.reshape(S * n, w))
-                g = self._tanh_adjoint(gh, *self.hidden[i - 1])
+                # x is the tanh output h of layer i - 1, read for the last
+                # time here: tanh''' = (6 t^2 - 2) f1 needs its value slot t,
+                # in one array that every layer shares
+                z, f1, f2, az = self.hidden[i - 1]
+                f3 = None
+                if self.layout.operator:
+                    t = x[0]
+                    f3 = np.multiply(t, 6.0, out=self._take("f3", f1.shape))
+                    f3 *= t
+                    f3 -= 2.0
+                    f3 *= f1
+                np.matmul(g2, W, out=x.reshape(S * n, w))
+                g = self._tanh_adjoint(x, z, f1, f2, f3, az)
         return grad
 
 

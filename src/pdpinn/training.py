@@ -38,7 +38,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # concurrently on one thread per CPU the process may use (numpy's GEMMs
 # and ufuncs release the GIL) and are joined in order: the result is
 # bitwise the serial loop's.  Keep BLAS on one thread, or its own threads
-# compete with the chunks for the same CPUs.
+# compete with the chunks for the same CPUs.  Training's record-time
+# evaluation runs its chunks serially on the run's pool, so its arrays do
+# not grow with ``n_pred``.
 FORWARD_CHUNK = 1024
 
 # Seed of the prediction-error sample, separate from the training noise.
@@ -504,8 +506,15 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
                                  buffers.scope("eval"))
 
     def current_error() -> float:
-        F = _slot_pass(store, VALUES, eval_slots, eval_pts, retain=False,
-                       buffers=buffers).F[0]
+        # FORWARD_CHUNK points at a time, serially on the run's pool
+        x, words, coeffs = eval_slots
+        F = np.empty(len(eval_pts))
+        for start in range(0, len(eval_pts), FORWARD_CHUNK):
+            part = slice(start, start + FORWARD_CHUNK)
+            slots = (x[:, part], None if words is None else words[:, part],
+                     coeffs)
+            F[part] = _slot_pass(store, VALUES, slots, eval_pts, start,
+                                 retain=False, buffers=buffers).F[0]
         return float(np.mean((F - eval_truth) ** 2))
 
     if not settings.fresh_batches:

@@ -18,8 +18,9 @@ from pdpinn import problems, training
 from pdpinn.bounds import verify_bound
 from pdpinn.dictionaries import DictionarySpec, eval_dictionary, write_words
 from pdpinn.diffgraph import Jet2, NonFiniteError, ParamStore
-from pdpinn.network import (VALUES, MlpConfig, SlotBuffers, SlotLayout,
-                            SlotPass, init_mlp, mlp_forward)
+from pdpinn.network import (VALUES, GradientUnavailableError, MlpConfig,
+                            SlotBuffers, SlotLayout, SlotPass, init_mlp,
+                            mlp_forward)
 from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
                              ground_truth_jet, operator_terms, rhs)
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
@@ -497,6 +498,54 @@ class TestSlotPass:
         assert np.max(np.abs(F[1:-1] - d1)) <= 1e-12 * np.max(np.abs(d1))
         assert np.array_equal(F[0], jets.value)
 
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_gradient_is_taken_once_and_leaves_the_input_slots(self, pid,
+                                                                model):
+        p, dspec, lift, store = published_model(pid, model)
+        pts = sample_interior(p, 300, np.random.default_rng(8)).points
+        layout = operator_layout(p)
+        # writable copies, so a write into them would go unnoticed
+        slots = predictor_slots(p, dspec, pts, lift, layout)
+        x, words, coeffs = (np.array(a) if isinstance(a, np.ndarray) else a
+                            for a in slots)
+        kept = x.copy(), None if words is None else words.copy()
+        fwd = SlotPass(store.layers, layout, x, words, coeffs)
+        gF = np.random.default_rng(9).standard_normal(fwd.F.shape)
+        grad = fwd.gradient(gF)
+        assert same_bits(x, kept[0])
+        assert words is None or same_bits(words, kept[1])
+        fresh = SlotPass(store.layers, layout, x, words, coeffs)
+        assert same_bits(fresh.gradient(gF), grad)
+        with pytest.raises(GradientUnavailableError, match="taken once"):
+            fwd.gradient(gF)
+        forward_only = SlotPass(store.layers, layout, x, words, coeffs,
+                                retain=False)
+        with pytest.raises(GradientUnavailableError, match="retain=False"):
+            forward_only.gradient(gF)
+
+    @pytest.mark.parametrize("pid,limit_mib", [("poisson2d", 18.6),
+                                               ("diffusion1d", 15.1)])
+    @pytest.mark.parametrize("model", ["dictionary", "plain"])
+    def test_training_pool_keeps_no_consumed_arrays(self, monkeypatch, pid,
+                                                    limit_mib, model):
+        pools = []
+
+        class Recorded(SlotBuffers):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        monkeypatch.setattr(training, "SlotBuffers", Recorded)
+        p, dspec, lift, store = published_model(pid, model)
+        train(p, dspec, TrainSettings(iterations=2), store=store, lift=lift)
+        (pool,) = pools
+        # the adjoints go over the layer inputs and the fusion product, and
+        # the third derivative of tanh is one array shared by the layers
+        roles = collections.Counter(k[0] if isinstance(k, tuple) else k
+                                    for k in pool.arrays)
+        assert roles["gh"] == roles["gnet"] == 0 and roles["f3"] <= 1
+        assert sum(a.nbytes for a in pool.arrays.values()) <= limit_mib * 2**20
+
     @pytest.mark.parametrize("d1", [(), (0, 1)])
     def test_operator_slot_needs_d1_for_exactly_the_second_order_terms(self, d1):
         p = problems.get("diffusion1d")
@@ -621,7 +670,9 @@ class TestSlotPass:
 
     def test_recorded_error_is_bitwise_the_jet_pass_error(self):
         p = problems.get("sphere")
-        s = TrainSettings(iterations=4, hidden_width=8, record_every=4)
+        # the record-time evaluation runs FORWARD_CHUNK points at a time
+        s = TrainSettings(iterations=4, hidden_width=8, record_every=4,
+                          n_pred=2 * FORWARD_CHUNK + 333)
         records, store = train(p, p.dictionary, s)
         pts = sample_interior(p, s.n_pred,
                               np.random.default_rng(EVAL_SEED)).points
