@@ -12,10 +12,13 @@ against.  A slot pass tests its predictor slots for NaN/Inf once, and
 walks its layers again to say where only when that test fails.  The
 adjoint of a retained pass writes each layer's adjoint over that layer's
 input and builds tanh''' itself, so a pass's gradient can be taken once.
-Training evaluates its recorded error with forward-only passes of
-``training.FORWARD_CHUNK`` points; after two published iterations a run's
-pool holds about 18.5 MiB on poisson2d, 14.5-15.0 on diffusion1d, 4.7-4.9
-on sphere and 2.2-2.3 on poisson1d (dictionary and plain models).
+A pass may carry a second row group of boundary points with values only,
+after the interior's value slot, so a training step takes both losses
+from one pass.  Training evaluates its recorded error with forward-only
+passes of ``training.FORWARD_CHUNK`` points; after two published
+iterations a run's pool holds about 20.1-20.3 MiB on poisson2d, 15.7-16.4
+on diffusion1d, 4.7-4.9 on sphere and 2.2-2.3 on poisson1d (dictionary and
+plain models).
 """
 
 from __future__ import annotations
@@ -154,17 +157,19 @@ class SlotBuffers:
     prod(shape) entries of one uninitialised float64 array per role, grown
     when a request is larger, so a loop over batches of any sizes maps its
     jet pages once instead of on every pass.  Roles never share memory;
-    the arrays of a pass (its ``net``, and ``F`` of a plain network) hold
-    only until the next pass on the same buffers, and ``SlotPass.gradient``
-    always returns a fresh array.  A retained pass takes one array per
-    layer for each of z, h, f1, f2 (and a_k z_k), and its adjoint takes
-    none of its own: it goes over the consumed layer inputs h and the
-    fusion product, with one tanh''' array and one set of einsum scratch
-    arrays shared by all layers.  ``scope(name)`` serves the roles
-    ``(name, role)``, so each set of pass inputs (``predictor_slots``)
-    keeps arrays of its own.  ``memo`` keeps one built input per role.
-    A pool serves one run or one thread, so each memo role always means
-    the same problem, dictionary and slot layout.
+    the arrays of a pass (its ``net``, and ``rows`` and ``F`` of a plain
+    network) hold only until the next pass on the same buffers, and
+    ``SlotPass.gradient`` always returns a fresh array.  A retained pass
+    takes one array per layer for each of z, h, f1 (over all rows, or all
+    value rows, boundary rows included), f2 and a_k z_k (over the
+    interior's rows), and its adjoint takes none of its own: it goes over
+    the consumed layer inputs h and the fusion product, with one tanh'''
+    array and one set of einsum scratch arrays shared by all layers.
+    ``scope(name)`` serves the roles ``(name, role)``, so each set of pass
+    inputs (``predictor_slots``) keeps arrays of its own.  ``memo`` keeps
+    one built input per role.  A pool serves one run or one thread, so
+    each memo role always means the same problem, dictionary and slot
+    layout.
     """
 
     def __init__(self):
@@ -193,7 +198,8 @@ class SlotBuffers:
         (``np.array_equal``) to those of its last build.
 
         The result comes back as read-only views, since every later pass
-        of the role reads them.  Its arrays may be the pool's own: a new
+        of the role reads them; arrays in a list stay writable, for rows
+        each pass fills itself.  Its arrays may be the pool's own: a new
         build of the role writes over them, so the old one is dropped
         first.
         """
@@ -218,13 +224,23 @@ class _Scope:
 
 def _read_only(value):
     """``value`` with each array in it, through tuples, as a read-only
-    view."""
+    view; a list is left as it is."""
     if isinstance(value, np.ndarray):
         value = value.view()
         value.flags.writeable = False
     elif isinstance(value, tuple):
         value = tuple(map(_read_only, value))
     return value
+
+
+def _input_adjoint(g: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """g @ W into ``out``.  With one output unit (K = 1) that is the
+    broadcast product g W, which numpy forms about twice as fast as the
+    GEMM, with equal values (only the signs of zeros may differ)."""
+    if W.shape[0] == 1:
+        np.multiply(g, W, out=out)
+    else:
+        np.matmul(g, W, out=out)
 
 
 class SlotPass:
@@ -236,44 +252,76 @@ class SlotPass:
     from ``training.predictor_slots``.  ``coeffs`` holds
     the operator's second-order coefficient a_k of each d1 slot: None for
     one, a float, or an (n, 1) array; the L slot propagates through them.
-    Each affine map is one GEMM on the contiguous (S*n, width) view.  The
-    predictor slots end up in ``F`` (shape (S, n)); ``gradient`` is the
-    hand-written adjoint.  It writes each layer's adjoint dL/dh over that
-    layer's input h once the layer's weight gradient is formed, the
-    fusion's adjoint over the fusion product, and builds tanh''' from h
-    just before; the input slots ``x`` are never written.  So ``gradient``
-    can be called once per pass, and a second call raises
-    ``GradientUnavailableError``.  With ``retain=False`` the pass keeps no
-    per-layer state and skips the tanh derivatives only the adjoint reads,
-    so ``gradient`` raises that error too.  Work arrays come from
-    ``buffers`` (a ``SlotBuffers``), or from a pool of the pass's own when
-    it is None.
-    ``F`` is checked for NaN/Inf once, and a NaN/Inf in any layer output
-    reaches it; a failing pass walks its layers again to raise a
-    ``NonFiniteError`` naming the first layer, slot and row at fault, or
-    the fusion when every layer output is finite.
+
+    With ``boundary`` = m > 0, ``x`` and ``words`` are flat rows (S n + m,
+    width) that carry a second group of m points with values only: the
+    value slot of the n interior points, then the value slot of the m
+    boundary points, then the other slots of the interior points.  Each
+    affine map is one GEMM over all rows, and tanh and its first
+    derivative run once over the n + m value rows; all that the other
+    slots need touches the first n value rows only.  A point's value row
+    is its index in the interior points followed by the boundary points.
+
+    The predictor at every row ends up in ``rows`` (shape (S n + m,)), and
+    without a boundary group in ``F`` too (the same values, shape (S, n));
+    ``gradient`` is the hand-written adjoint.  It writes each layer's
+    adjoint dL/dh over that layer's input h once the layer's weight
+    gradient is formed, the fusion's adjoint over the fusion product, and
+    builds tanh''' from h just before; the input slots ``x`` are never
+    written.  So ``gradient`` can be called once per pass, and a second
+    call raises ``GradientUnavailableError``.  With ``retain=False`` the
+    pass keeps no per-layer state and skips the tanh derivatives only the
+    adjoint reads, so ``gradient`` raises that error too.  Work arrays come
+    from ``buffers`` (a ``SlotBuffers``), or from a pool of the pass's own
+    when it is None.
+    ``rows`` is checked for NaN/Inf once, and a NaN/Inf in any layer
+    output reaches it; a failing pass walks its layers again to raise a
+    ``NonFiniteError`` naming the first layer, slot and point at fault
+    (its ``row`` is the point's value row), or the fusion when every layer
+    output is finite.
     """
 
     def __init__(self, layers, layout: SlotLayout, x: np.ndarray, words=None,
                  coeffs=(), retain: bool = True,
-                 buffers: SlotBuffers | None = None):
+                 buffers: SlotBuffers | None = None, boundary: int = 0):
         _check_fan_in(layers, x.shape[-1])
-        self.layers, self.layout, self.words = layers, layout, words
+        self.layers, self.layout = layers, layout
         self.coeffs = coeffs
         self.retain = retain
         self.spent = False               # gradient taken, inputs overwritten
         self._take = (SlotBuffers() if buffers is None else buffers).take
         self.inputs = []                 # the input slots of every layer
-        self.hidden = []                 # (z, f1, f2, a_k z_k) per tanh
-        self.net = self._walk(x)
-        self.F = (self.net[..., 0] if words is None
-                  else self._fuse(words, self.net))
+        self.hidden = []                 # per tanh: slots of z, h; f1, f2, az
+        x = x.reshape(-1, x.shape[-1])
+        S = self.S = layout.slots
+        self.n, rest = divmod(len(x) - boundary, S)
+        if boundary < 0 or rest or self.n < 0:
+            raise ValueError(f"{len(x)} rows do not hold {S} slots of "
+                             f"interior points and {boundary} boundary "
+                             "values")
+        if boundary and not self.n and S > 1:
+            raise ValueError("boundary values without interior points "
+                             "need a value-only layout")
+        self.m, self.v = boundary, self.n + boundary
+        self.words = None if words is None else words.reshape(len(x), -1)
+        net = self._walk(x)
+        self.rows = (net[:, 0] if words is None
+                     else self._fuse(self.words, net))
+        self.net, self.F = net, None
+        if not boundary:
+            self.net = net.reshape(S, self.n, -1)
+            self.F = self.rows.reshape(S, self.n)
         # a single reduction: any NaN/Inf poisons the sum
-        if not np.isfinite(np.sum(self.F)):
+        if not np.isfinite(np.sum(self.rows)):
             self._raise_nonfinite(x)
 
+    def _slots(self, a: np.ndarray) -> np.ndarray:
+        """The interior's slots after the value, (S - 1, n, width), of the
+        rows ``a``."""
+        return a[self.v:].reshape(self.S - 1, self.n, a.shape[-1])
+
     def _walk(self, x: np.ndarray, check: bool = False) -> np.ndarray:
-        """The network's output slots from the input slots ``x``; with
+        """The network's output rows from the input rows ``x``; with
         ``check``, each layer's output is tested for NaN/Inf."""
         h = x
         for i, (W, b) in enumerate(self.layers):
@@ -286,27 +334,38 @@ class SlotPass:
                 self._check_finite(h, i)
         return h
 
-    def _raise_nonfinite(self, x: np.ndarray) -> None:
-        """Name the first layer, slot and row of a NaN/Inf in ``F``.
+    def _first_bad(self, bad: np.ndarray):
+        """(slot, point) of the first point with a row flagged in ``bad``
+        (one flag per row), at its first flagged slot; None if none is."""
+        points = bad[:self.v].copy()
+        slots = bad[self.v:].reshape(self.S - 1, self.n)
+        if slots.size:
+            points[:self.n] |= slots.any(axis=0)
+        if not points.any():
+            return None
+        point = int(np.argmax(points))
+        return (0 if bad[point] else 1 + int(np.argmax(slots[:, point])),
+                point)
 
-        Every such failure reaches ``F``: a NaN/Inf in any slot of a row
+    def _raise_nonfinite(self, x: np.ndarray) -> None:
+        """Name the first layer, slot and point of a NaN/Inf in ``rows``.
+
+        Every such failure reaches ``rows``: a NaN/Inf in any slot of a row
         turns that row of the next GEMM non-finite in every unit, and
         neither tanh (f1 >= 0, and 0 * inf is NaN) nor the fusion makes it
         finite again.  So the layers are walked once more from ``x``, on a
         pool of their own, checking each output; when all are finite the
         words or their fusion are at fault.
         """
-        bad = ~np.isfinite(self.F)                      # (S, n)
-        rows = np.any(bad, axis=0)
-        if not rows.any():
+        at = self._first_bad(~np.isfinite(self.rows))
+        if at is None:
             return                      # only the sum overflowed
         self.retain, self._take = False, SlotBuffers().take
         self._walk(x, check=True)
-        row = int(np.argmax(rows))
-        slot = int(np.argmax(bad[:, row]))
+        slot, point = at
         raise NonFiniteError(
             f"non-finite {self.layout.name(slot)} in the fusion with the "
-            "words", row=row)
+            "words", row=point)
 
     def _key(self, role: str, i: int):
         # the adjoint reads every layer's arrays; a forward-only pass
@@ -315,22 +374,19 @@ class SlotPass:
 
     def _affine(self, h: np.ndarray, W: np.ndarray, b: np.ndarray,
                 i: int) -> np.ndarray:
-        S, n, w = h.shape
-        z = self._take(self._key("z", i), (S, n, W.shape[0]))
-        np.matmul(h.reshape(S * n, w), W.T, out=z.reshape(S * n, -1))
-        z[0] += b
+        z = self._take(self._key("z", i), (len(h), W.shape[0]))
+        np.matmul(h, W.T, out=z)
+        z[:self.v] += b
         return z
 
     def _check_finite(self, h: np.ndarray, i: int) -> None:
-        bad = ~np.all(np.isfinite(h), axis=-1)          # (S, n)
-        rows = np.any(bad, axis=0)
-        if not rows.any():
+        at = self._first_bad(~np.all(np.isfinite(h), axis=-1))
+        if at is None:
             return                      # this layer's output is finite
-        row = int(np.argmax(rows))
-        slot = int(np.argmax(bad[:, row]))
+        slot, point = at
         raise NonFiniteError(
             f"non-finite {self.layout.name(slot)} in the output of layer "
-            f"{i + 1} of {len(self.layers)}", row=row)
+            f"{i + 1} of {len(self.layers)}", row=point)
 
     def _weighted(self, u: np.ndarray, role: str) -> np.ndarray:
         """a_k u_k over the d1 slots u (u itself when every a_k is one)."""
@@ -344,95 +400,117 @@ class SlotPass:
     def _tanh(self, z: np.ndarray, i: int) -> np.ndarray:
         # h_k = f1 z_k, and h_L = f1 z_L + f2 sum_k a_k z_k^2
         m, op = len(self.layout.d1), self.layout.operator
-        _, n, w = z.shape
+        n, v, w = self.n, self.v, z.shape[-1]
 
         def take(role, shape=(n, w)):
             return self._take(self._key(role, i), shape)
 
         h = take("h", z.shape)
-        t = np.tanh(z[0], out=h[0])
-        f1 = f2 = az = None
-        derivatives = len(z) > 1
+        t = np.tanh(z[:v], out=h[:v])
+        f1 = f2 = az = zs = hs = None
+        derivatives = self.S > 1
         if derivatives or self.retain:
-            f1 = np.multiply(t, t, out=take("f1"))
+            f1 = np.multiply(t, t, out=take("f1", (v, w)))
             np.subtract(1.0, f1, out=f1)
         # the adjoint reaches f2 through the derivative slots, so a
         # value-only pass needs none; ``gradient`` builds tanh''' itself
         if op or (derivatives and self.retain):
-            f2 = np.multiply(t, -2.0, out=take("f2"))
-            f2 *= f1
+            f2 = np.multiply(t[:n], -2.0, out=take("f2"))
+            f2 *= f1[:n]
         if derivatives:
-            np.multiply(z[1:], f1, out=h[1:])
+            zs, hs = self._slots(z), self._slots(h)
+            np.multiply(zs, f1[:n], out=hs)
         if op:
-            z1 = z[1:1 + m]
+            z1 = zs[:m]
             az = self._weighted(z1, self._key("az", i))
             sq = np.einsum("snw,snw->nw", az, z1,
                            out=self._take("sq", (n, w)))
             sq *= f2
-            h[-1] += sq
+            hs[-1] += sq
         if self.retain:
-            self.hidden.append((z, f1, f2, az))
+            self.hidden.append((zs, hs, f1, f2, az))
         return h
 
-    def _tanh_adjoint(self, gh, z, f1, f2, f3, az) -> np.ndarray:
-        """dL/dz from gh = dL/dh, computed in place in gh; ``az`` is the
+    def _tanh_adjoint(self, gh, ghs, zs, f1, f2, f3, az) -> np.ndarray:
+        """dL/dz from gh = dL/dh, computed in place in gh; ``ghs`` and
+        ``zs`` are the slots after the value of gh and z, ``az`` is the
         forward's a_k z_k and ``f3`` is tanh''' (None without L)."""
         m, op = len(self.layout.d1), self.layout.operator
-        if len(gh) == 1:
+        n, v = self.n, self.v
+        if self.S == 1:
             # value slot alone: dL/dz = f1 dL/dh
             gh *= f1
             return gh
-        e1 = np.einsum("snw,snw->nw", gh[1:], z[1:],
-                       out=self._take("e1", f1.shape))
+        e1 = np.einsum("snw,snw->nw", ghs, zs,
+                       out=self._take("e1", f2.shape))
         e1 *= f2
         if op:
             # the L slot reaches z_k through 2 f2 a_k z_k and z_0 through
             # f3 sum_k a_k z_k^2
-            z1 = z[1:1 + m]
-            q = np.multiply(az, gh[-1], out=self._take("q", z1.shape))
-            e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f1.shape))
+            z1 = zs[:m]
+            q = np.multiply(az, ghs[-1], out=self._take("q", z1.shape))
+            e2 = np.einsum("snw,snw->nw", q, z1, out=self._take("e2", f2.shape))
             e2 *= f3
             e1 += e2
             q *= np.multiply(f2, 2.0, out=e2)
-        gh *= f1
-        gh[0] += e1
+        gh[:v] *= f1
+        ghs *= f1[:n]
+        gh[:n] += e1
         if op:
-            gh[1:1 + m] += q
+            ghs[:m] += q
         return gh
 
     def _fuse(self, C: np.ndarray, N: np.ndarray) -> np.ndarray:
         # the product rule, with L<C,N> = <LC,N> + <C,LN>
         # + 2 sum_k a_k <C_k, N_k>; T is C-ordered like the packed words,
         # which fixes the summation order of T.sum
-        T = np.multiply(C, N[0], out=self._take("T", C.shape))
-        T[1:] += np.multiply(C[0], N[1:], out=self._take("cn", N[1:].shape))
+        n, v = self.n, self.v
+        T = self._take("T", C.shape)
+        np.multiply(C[:v], N[:v], out=T[:v])
+        if self.S > 1:
+            Cs, Ts, Ns = self._slots(C), self._slots(T), self._slots(N)
+            np.multiply(Cs, N[:n], out=Ts)
+            Ts += np.multiply(C[:n], Ns, out=self._take("cn", Ns.shape))
         if self.layout.operator:
             m = len(self.layout.d1)
-            self.ac = self._weighted(C[1:1 + m], "ac")
-            c2 = np.einsum("snw,snw->nw", self.ac, N[1:1 + m],
-                           out=self._take("cn2", N.shape[1:]))
+            self.ac = self._weighted(Cs[:m], "ac")
+            c2 = np.einsum("snw,snw->nw", self.ac, Ns[:m],
+                           out=self._take("cn2", Ns.shape[1:]))
             c2 *= 2.0
-            T[-1] += c2
+            Ts[-1] += c2
         return T.sum(axis=-1)
 
     def _fuse_adjoint(self, gF: np.ndarray) -> np.ndarray:
-        """dL/dN, written over the fusion product T, dead once F = T.sum."""
+        """dL/dN from gF = dL/d(rows), written over the fusion product T,
+        dead once the rows are T.sum."""
         C = self.words
         if C is None:
-            return gF[..., None]
+            return gF[:, None]
+        S, n, v = self.S, self.n, self.v
         g = self._take("T", C.shape)
-        np.einsum("sn,snw->nw", gF, C, out=g[0])
-        np.multiply(C[0], gF[1:, :, None], out=g[1:])
+        if S == 1 or not self.m:
+            np.einsum("sn,snw->nw", gF.reshape(S, v), C.reshape(S, v, -1),
+                      out=g[:v])
+        else:
+            # the boundary rows carry a value slot alone
+            np.multiply(C[:v], gF[:v, None], out=g[:v])
+            g[:n] += np.einsum("sn,snw->nw", gF[v:].reshape(S - 1, n),
+                               self._slots(C),
+                               out=self._take("cn2", (n, C.shape[1])))
+        if S > 1:
+            gFs, gs = gF[v:].reshape(S - 1, n, 1), self._slots(g)
+            np.multiply(C[:n], gFs, out=gs)
         if self.layout.operator:
             m = len(self.layout.d1)
-            c2 = np.multiply(self.ac, gF[-1, :, None],
-                             out=self._take("cn2", g[1:1 + m].shape))
+            c2 = np.multiply(self.ac, gFs[-1],
+                             out=self._take("cn2", gs[:m].shape))
             c2 *= 2.0
-            g[1:1 + m] += c2
+            gs[:m] += c2
         return g
 
     def gradient(self, gF: np.ndarray) -> np.ndarray:
-        """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF.
+        """Flat d(loss)/d(theta) in ParamStore order from gF = d(loss)/dF,
+        one entry per row in the order of ``rows`` (or shaped like ``F``).
 
         Each layer's adjoint dL/dh is written over that layer's input h
         once its weight gradient is formed, so the gradient of a pass can
@@ -446,30 +524,29 @@ class SlotPass:
                 "the gradient of a pass can be taken once: it writes each "
                 "layer's adjoint over that layer's input")
         self.spent = True
-        g = self._fuse_adjoint(gF)
+        g = self._fuse_adjoint(np.reshape(gF, len(self.rows)))
         grad = np.empty(sum(W.size + b.size for W, b in self.layers))
         views = layer_views([W.shape for W, _ in self.layers], grad)
+        n = self.n
         for i in range(len(self.layers) - 1, -1, -1):
             (W, _), (dW, db) = self.layers[i], views[i]
             x = self.inputs[i]
-            S, n, w = x.shape
-            g2 = g.reshape(S * n, -1)
-            np.matmul(g2.T, x.reshape(S * n, w), out=dW)
-            np.sum(g[0], axis=0, out=db)
+            np.matmul(g.T, x, out=dW)
+            np.sum(g[:self.v], axis=0, out=db)
             if i:
                 # x is the tanh output h of layer i - 1, read for the last
-                # time here: tanh''' = (6 t^2 - 2) f1 needs its value slot t,
-                # in one array that every layer shares
-                z, f1, f2, az = self.hidden[i - 1]
+                # time here: tanh''' = (6 t^2 - 2) f1 needs the interior's
+                # value slot t, in one array that every layer shares
+                zs, hs, f1, f2, az = self.hidden[i - 1]
                 f3 = None
                 if self.layout.operator:
-                    t = x[0]
-                    f3 = np.multiply(t, 6.0, out=self._take("f3", f1.shape))
+                    t = x[:n]
+                    f3 = np.multiply(t, 6.0, out=self._take("f3", t.shape))
                     f3 *= t
                     f3 -= 2.0
-                    f3 *= f1
-                np.matmul(g2, W, out=x.reshape(S * n, w))
-                g = self._tanh_adjoint(x, z, f1, f2, f3, az)
+                    f3 *= f1[:n]
+                _input_adjoint(g, W, x)
+                g = self._tanh_adjoint(x, hs, zs, f1, f2, f3, az)
         return grad
 
 

@@ -183,9 +183,12 @@ def _write_coordinates(pts: np.ndarray, value, d1, d2) -> None:
 
 
 def _jet_slots(write, pts: np.ndarray, width: int, layout: SlotLayout,
-               terms, take, name) -> np.ndarray:
+               terms, take, name, boundary: int = 0) -> np.ndarray:
     """The slots of ``layout`` of a jet of ``width`` entries per point,
-    shape (slots, n, width), in the array ``take(name, shape)``.
+    shape (slots, n, width), in the array ``take(name, shape)``; with
+    ``boundary`` = m > 0, the rows (slots n + m, width) of a ``SlotPass``
+    with a boundary group, whose m rows after the value slot are left to
+    the caller.
 
     ``write(pts, value, d1, d2)`` writes the value and, unless d1 is None,
     the d1/d2 rows of every coordinate, as a word family does.  The d1
@@ -193,24 +196,29 @@ def _jet_slots(write, pts: np.ndarray, width: int, layout: SlotLayout,
     scratch arrays of the same pool.  L is ``operator_sum`` of the terms.
     """
     n, dim = pts.shape
-    out = take(name, (layout.slots, n, width))
+    rows = take(name, (layout.slots * n + boundary, width))
+    value = rows[:n]
+    slots = rows[n + boundary:].reshape(layout.slots - 1, n, width)
     if layout.slots == 1:
-        write(pts, out[0], None, None)
-        return out
-    carried = dict(zip(layout.d1, out[1:]))
-    d1 = [carried[k] if k in carried else take((name, "d1", k), (n, width))
-          for k in range(dim)]
-    d2 = take((name, "d2"), (dim, n, width))
-    write(pts, out[0], d1, d2)
-    if layout.operator:
-        operator_sum(terms, d1, d2, out=out[-1])
-    return out
+        write(pts, value, None, None)
+    else:
+        carried = dict(zip(layout.d1, slots))
+        d1 = [carried[k] if k in carried else take((name, "d1", k), (n, width))
+              for k in range(dim)]
+        d2 = take((name, "d2"), (dim, n, width))
+        write(pts, value, d1, d2)
+        if layout.operator:
+            operator_sum(terms, d1, d2, out=slots[-1])
+    return rows if boundary else rows.reshape(layout.slots, n, width)
 
 
 def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
-                    lift: bool, layout: SlotLayout, buffers=None):
+                    lift: bool, layout: SlotLayout, buffers=None,
+                    boundary: int = 0):
     """``SlotPass`` inputs at points: the network input and the dictionary
     words in the slots of ``layout``, and the second-order coefficients.
+    With ``boundary`` = m > 0 the input and the words are the flat rows of
+    a pass with m boundary values, which rows n to n + m leave unwritten.
 
     The input and the words are written straight into arrays taken from
     ``buffers`` (a ``SlotBuffers`` or one of its scopes; a fresh pool when
@@ -227,26 +235,33 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
     terms = operator_terms(p, pts) if layout.operator else ()
     coeffs = _second_order_coeffs(terms, layout) if layout.operator else ()
     x = _jet_slots(write_lifted if lift else _write_coordinates, pts,
-                   network_input_dim(p, lift), layout, terms, take, "x")
+                   network_input_dim(p, lift), layout, terms, take, "x",
+                   boundary)
     if dspec.kind == "none":
         return x, None, coeffs
     return x, _jet_slots(partial(write_words, dspec), pts, dspec.word_count,
-                         layout, terms, take, "words"), coeffs
+                         layout, terms, take, "words", boundary), coeffs
 
 
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
                points: np.ndarray, start: int = 0,
-               retain: bool = True,
-               buffers: SlotBuffers | None = None) -> SlotPass:
-    """``SlotPass`` on ``predictor_slots`` output for ``points[start:]``; a
-    NaN/Inf report names the sample point and its row in ``points``."""
+               retain: bool = True, buffers: SlotBuffers | None = None,
+               boundary: np.ndarray | None = None) -> SlotPass:
+    """``SlotPass`` on ``predictor_slots`` output for ``points[start:]``,
+    and for the ``boundary`` points in its value slot when given (then
+    ``start`` is 0); a NaN/Inf report names the sample point and its row in
+    ``points`` or in ``boundary``."""
     try:
         return SlotPass(store.layers, layout, *slots, retain=retain,
-                        buffers=buffers)
+                        buffers=buffers,
+                        boundary=0 if boundary is None else len(boundary))
     except NonFiniteError as e:
-        row = start + e.row
+        if boundary is not None and e.row >= len(points):
+            row, what, pts = e.row - len(points), "boundary point", boundary
+        else:
+            row, what, pts = start + e.row, "batch point", points
         raise NonFiniteError(
-            f"{e}; batch point {np.array2string(points[row])}", row=row) from None
+            f"{e}; {what} {np.array2string(pts[row])}", row=row) from None
 
 
 def _usable_cpus() -> int:
@@ -370,54 +385,96 @@ def predict_values(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
 # Empirical losses
 # --------------------------------------------------------------------------
 
-def _mean_square_loss(role: str, store: ParamStore, p: ProblemSpec,
-                      dspec: DictionarySpec, points: np.ndarray, lift: bool,
-                      layout: SlotLayout, target, buffers: SlotBuffers | None):
-    """Mean square of the last slot of ``layout`` minus ``target(p,
-    points)``, with its gradient.
+def empirical_losses(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
+                     interior: SampleBatch | None,
+                     boundary: SampleBatch | None, lift: bool = False,
+                     buffers: SlotBuffers | None = None):
+    """(loss_pde, loss_bc, gradient of their sum) from one slot pass.
 
-    dL/dF is 2 r / n on that slot alone.  The pass takes its work arrays
-    from ``buffers``, or a fresh pool when None.  The inputs and the
-    target are written into the role's own arrays of the pool and built
-    again only when the role's points change.
+    loss_pde is the mean squared PDE residual F_L - q over the interior
+    batch, loss_bc the mean squared boundary mismatch over the boundary
+    batch; either batch may be None, which leaves its group out of the
+    pass and reads its loss as 0.0.  The pass carries the operator slots
+    of the interior points and the boundary points in its value slot
+    (``SlotPass`` with a boundary group); dL/dF is 2 r / n on the n L rows
+    and 2 r / m on the m boundary rows.  The interior's inputs are written
+    straight into the pass's rows, and the boundary's value-only inputs
+    into arrays of their own, copied into the rows.  A pool (``buffers``,
+    or a fresh one when None) keeps each group's inputs and its q or
+    boundary data, built again only when its points change: the fixed
+    boundary points of poisson1d and sphere, or ``fresh_batches=False``,
+    reuse them.
     """
+    if interior is not None and interior.region != "interior":
+        raise ValueError("PDE loss needs an interior batch")
+    if boundary is not None and boundary.region != "boundary":
+        raise ValueError("BC loss needs a boundary batch")
+    if interior is None and boundary is None:
+        raise ValueError("need an interior or a boundary batch")
     if buffers is None:
         buffers = SlotBuffers()
-    slots, want = buffers.memo(role, points, lambda: (
-        predictor_slots(p, dspec, points, lift, layout, buffers.scope(role)),
-        target(p, points)))
-    fwd = _slot_pass(store, layout, slots, points, buffers=buffers)
-    r = fwd.F[-1] - want
-    gF = np.zeros_like(fwd.F)
-    gF[-1] = (2.0 / r.size) * r
-    return float(np.mean(r * r)), fwd.gradient(gF)
+    n = m = 0
+    bpts = None
+    if boundary is not None:
+        bpts = boundary.points
+        m = len(bpts)
+        (bx, bwords, _), data = buffers.memo("bc", bpts, lambda: (
+            predictor_slots(p, dspec, bpts, lift, VALUES, buffers.scope("bc")),
+            boundary_value(p, bpts)))
+    if interior is None:
+        pts, layout, slots = bpts[:0], VALUES, (bx, bwords, ())
+    else:
+        pts, layout = interior.points, operator_layout(p)
+        n = len(pts)
+        # the rows' layout depends on m, so each m has arrays of its own
+        role = ("pde", m)
+
+        def build():
+            slots = predictor_slots(p, dspec, pts, lift, layout,
+                                    buffers.scope(role), boundary=m)
+            # the boundary rows, which each pass fills; in a list, they
+            # stay writable in the memo
+            holes = [a[n:n + m] for a in slots[:2] if a is not None]
+            return slots, rhs(p, pts), holes
+
+        slots, q, holes = buffers.memo(role, pts, build)
+        if m:
+            for hole, values in zip(holes, (bx, bwords)):
+                hole[...] = values[0]
+    fwd = _slot_pass(store, layout, slots, pts, buffers=buffers,
+                     boundary=bpts)
+    gF = np.zeros_like(fwd.rows)
+    loss_pde = loss_bc = 0.0
+    if n:
+        r = fwd.rows[-n:] - q
+        loss_pde = float(np.mean(r * r))
+        gF[-n:] = (2.0 / n) * r
+    if m:
+        r = fwd.rows[n:n + m] - data
+        loss_bc = float(np.mean(r * r))
+        gF[n:n + m] = (2.0 / m) * r
+    return loss_pde, loss_bc, fwd.gradient(gF)
 
 
 def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                        batch: SampleBatch, lift: bool = False,
                        buffers: SlotBuffers | None = None):
     """Mean squared PDE residual F_L - q over an interior batch, with
-    gradient; the pass carries the operator slot.  A pool keeps the words,
-    network input and q of the last batch, reused while the points repeat.
-    """
-    if batch.region != "interior":
-        raise ValueError("PDE loss needs an interior batch")
-    return _mean_square_loss("pde", store, p, dspec, batch.points, lift,
-                             operator_layout(p), rhs, buffers)
+    gradient: ``empirical_losses`` without a boundary batch."""
+    loss, _, grad = empirical_losses(store, p, dspec, batch, None, lift,
+                                     buffers)
+    return loss, grad
 
 
 def empirical_bc_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                       batch: SampleBatch, lift: bool = False,
                       buffers: SlotBuffers | None = None):
-    """Mean squared boundary mismatch over a boundary batch, with gradient;
-    only values enter, so the pass carries the value slot alone.  A pool
-    keeps the inputs and boundary data of the last batch, reused while the
-    points repeat (the fixed boundary points of poisson1d and sphere).
-    """
-    if batch.region != "boundary":
-        raise ValueError("BC loss needs a boundary batch")
-    return _mean_square_loss("bc", store, p, dspec, batch.points, lift,
-                             VALUES, boundary_value, buffers)
+    """Mean squared boundary mismatch over a boundary batch, with gradient:
+    ``empirical_losses`` without an interior batch, so the pass carries
+    the value slot alone."""
+    _, loss, grad = empirical_losses(store, p, dspec, None, batch, lift,
+                                     buffers)
+    return loss, grad
 
 
 def predict_error(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
@@ -473,12 +530,14 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     with its own fixed-seed generator.  Raises DivergenceError when the
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
     fixed order here, so every run is bit-reproducible for a given seed.
-    One ``SlotBuffers`` serves every pass of the run, so fixed-size batches
-    reuse the same work arrays from one iteration to the next.  The
-    inputs of the PDE batch, the boundary batch and the evaluation set
-    each keep arrays of their own in it, and a batch whose points repeat
-    (a fixed boundary, or ``fresh_batches=False``) reuses its words and
-    network input.
+    Each step takes both losses and the gradient of their sum from one
+    slot pass (``empirical_losses``), whose value slot carries the
+    boundary batch after the interior batch.  One ``SlotBuffers`` serves
+    every pass of the run, so fixed-size batches reuse the same work
+    arrays from one iteration to the next.  The inputs of the pass, the
+    boundary batch and the evaluation set each keep arrays of their own
+    in it, and a batch whose points repeat (a fixed boundary, or
+    ``fresh_batches=False``) reuses its words and network input.
     """
     if lift is None:
         lift = p.lift and dspec.kind != "none"
@@ -527,16 +586,14 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
             boundary = sample_boundary(p, n_bc, rng)
         else:
             interior, boundary = fixed_interior, fixed_boundary
-        loss_pde, grad_pde = empirical_pde_loss(store, p, dspec, interior, lift,
-                                                buffers)
-        loss_bc, grad_bc = empirical_bc_loss(store, p, dspec, boundary, lift,
-                                             buffers)
+        loss_pde, loss_bc, grad = empirical_losses(store, p, dspec, interior,
+                                                   boundary, lift, buffers)
         total = loss_pde + loss_bc
         if not np.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"loss {total:.3e} at iteration {it} "
                 f"(pde {loss_pde:.3e}, bc {loss_bc:.3e})")
-        adam_step(state, store, grad_pde + grad_bc)
+        adam_step(state, store, grad)
         if it % settings.record_every == 0 or it == iterations:
             err = current_error()
             records.append(TrainRecord(

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdpinn import diffgraph as dg
-from pdpinn import problems, training
+from pdpinn import network, problems, training
 from pdpinn.bounds import verify_bound
 from pdpinn.dictionaries import DictionarySpec, eval_dictionary, write_words
 from pdpinn.diffgraph import Jet2, NonFiniteError, ParamStore
@@ -25,7 +25,8 @@ from pdpinn.problems import (apply_operator, boundary_value, ground_truth,
                              ground_truth_jet, operator_terms, rhs)
 from pdpinn.sampling import SampleBatch, sample_boundary, sample_interior
 from pdpinn.training import (EVAL_SEED, FORWARD_CHUNK, AdamState, TrainSettings,
-                             adam_step, empirical_bc_loss, empirical_pde_loss,
+                             adam_step, empirical_bc_loss, empirical_losses,
+                             empirical_pde_loss,
                              net_input_jet, operator_layout, pack_slots,
                              predict_error, predict_values, predictor_fields,
                              predictor_jets, predictor_slots, train)
@@ -331,13 +332,17 @@ def per_layer_walk(layers, layout, x, words, coeffs, retain):
     walk.coeffs, walk.retain = coeffs, retain
     walk._take = SlotBuffers().take
     walk.inputs, walk.hidden = [], []
-    h = x
+    # the pass's flat rows, with no boundary group
+    S, n, _ = x.shape
+    walk.S, walk.n, walk.m, walk.v = S, n, 0, n
+    h = x.reshape(S * n, -1)
     for i, (W, b) in enumerate(layers):
         h = walk._affine(h, W, b, i)
         if i < len(layers) - 1:
             h = walk._tanh(h, i)
         walk._check_finite(h, i)
-    F = h[..., 0] if words is None else walk._fuse(words, h)
+    F = (h[:, 0] if words is None
+         else walk._fuse(words.reshape(S * n, -1), h)).reshape(S, n)
     bad = ~np.isfinite(F)
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
@@ -523,8 +528,8 @@ class TestSlotPass:
         with pytest.raises(GradientUnavailableError, match="retain=False"):
             forward_only.gradient(gF)
 
-    @pytest.mark.parametrize("pid,limit_mib", [("poisson2d", 18.6),
-                                               ("diffusion1d", 15.1)])
+    @pytest.mark.parametrize("pid,limit_mib", [("poisson2d", 20.39),
+                                               ("diffusion1d", 16.48)])
     @pytest.mark.parametrize("model", ["dictionary", "plain"])
     def test_training_pool_keeps_no_consumed_arrays(self, monkeypatch, pid,
                                                     limit_mib, model):
@@ -540,7 +545,8 @@ class TestSlotPass:
         train(p, dspec, TrainSettings(iterations=2), store=store, lift=lift)
         (pool,) = pools
         # the adjoints go over the layer inputs and the fusion product, and
-        # the third derivative of tanh is one array shared by the layers
+        # the third derivative of tanh is one array shared by the layers;
+        # the boundary points ride in the interior pass's value rows
         roles = collections.Counter(k[0] if isinstance(k, tuple) else k
                                     for k in pool.arrays)
         assert roles["gh"] == roles["gnet"] == 0 and roles["f3"] <= 1
@@ -621,11 +627,13 @@ class TestSlotPass:
         # iteration 2 is the first to follow a record-time evaluation
         assert pool_ids[1] == pool_ids[9]
         assert len(pool_ids[1]) > len(pool_ids[0])
-        # the inputs of each pass role hold arrays of their own from the
+        # the rows of the one pass per step, the boundary batch's own
+        # inputs and the evaluation set hold arrays of their own from the
         # first iteration on
+        scopes = (("pde", p.n_bc), "bc", "eval")
         inputs = [k for k in pool_ids[0]
-                  if isinstance(k, tuple) and k[0] in ("pde", "bc", "eval")]
-        assert {k[0] for k in inputs} == {"pde", "bc", "eval"}
+                  if isinstance(k, tuple) and k[0] in scopes]
+        assert {k[0] for k in inputs} == set(scopes)
         assert all(pool_ids[9][k] == pool_ids[0][k] for k in inputs)
 
     @pytest.mark.parametrize("pid", ["poisson2d", "sphere"])
@@ -679,6 +687,113 @@ class TestSlotPass:
         F = predictor_jets(store.layers, p, p.dictionary, pts, p.lift)
         assert records[-1].error_predict == float(
             np.mean((F.value - ground_truth(p, pts)) ** 2))
+
+
+def directional_fd_gap(total, store, rng, h=1e-5):
+    """Relative gap between grad . v and the central difference of the
+    loss along a random unit direction v; ``total(store)`` gives (loss,
+    grad)."""
+    v = rng.standard_normal(store.n_params)
+    v /= np.linalg.norm(v)
+    theta, shifted = store.flat(), store.copy()
+    shifted.set_flat(theta + h * v)
+    up, _ = total(shifted)
+    shifted.set_flat(theta - h * v)
+    down, _ = total(shifted)
+    fd, exact = (up - down) / (2.0 * h), total(store)[1] @ v
+    return abs(fd - exact) / max(abs(fd), abs(exact))
+
+
+def one_pass_batches(p, seed):
+    rng = np.random.default_rng(seed)
+    return sample_interior(p, p.n_pde, rng), sample_boundary(p, p.n_bc, rng)
+
+
+class TestOnePass:
+    """``empirical_losses``: both losses and the summed gradient from one
+    slot pass, the boundary points in its value slot."""
+
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_losses_and_gradient_are_the_single_batch_ones(self, pid, model):
+        p, dspec, lift, store = published_model(pid, model)
+        interior, boundary = one_pass_batches(p, 41)
+        pool = SlotBuffers()
+        for _ in range(2):              # the second pass reuses the memos
+            loss_pde, loss_bc, grad = empirical_losses(
+                store, p, dspec, interior, boundary, lift, pool)
+            want_pde, grad_pde = empirical_pde_loss(store, p, dspec, interior,
+                                                    lift, pool)
+            want_bc, grad_bc = empirical_bc_loss(store, p, dspec, boundary,
+                                                 lift, pool)
+            assert abs(loss_pde - want_pde) <= 1e-14 * want_pde
+            assert abs(loss_bc - want_bc) <= 1e-14 * want_bc
+            want = grad_pde + grad_bc
+            assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pid,model", PUBLISHED)
+    def test_gradient_matches_directional_fd(self, pid, model):
+        p, dspec, lift, store = published_model(pid, model)
+        interior, boundary = one_pass_batches(p, 43)
+        pool = SlotBuffers()
+
+        def total(st):
+            lp, lb, grad = empirical_losses(st, p, dspec, interior, boundary,
+                                            lift, pool)
+            return lp + lb, grad
+
+        assert directional_fd_gap(total, store,
+                                  np.random.default_rng(44)) <= 1e-5
+
+    @pytest.mark.parametrize("pid", ALL_IDS)
+    def test_plain_output_adjoint_is_the_gemm_values(self, pid, monkeypatch):
+        p, dspec, lift, store = published_model(pid, "plain")
+        interior, boundary = one_pass_batches(p, 45)
+
+        def total(st):
+            lp, lb, grad = empirical_losses(st, p, dspec, interior, boundary,
+                                            lift)
+            return lp + lb, grad
+
+        assert store.layers[-1][0].shape[0] == 1      # one output unit
+        _, grad = total(store)
+        assert directional_fd_gap(total, store,
+                                  np.random.default_rng(46)) <= 1e-5
+        monkeypatch.setattr(network, "_input_adjoint",
+                            lambda g, W, out: np.matmul(g, W, out=out))
+        _, gemm = total(store)
+        assert np.array_equal(grad, gemm)
+
+    @pytest.mark.parametrize("pid,model", [
+        ("poisson2d", "dictionary"), ("poisson2d", "plain"),
+        ("sphere", "dictionary"), ("sphere", "plain")])
+    @pytest.mark.parametrize("region", ["interior", "boundary"])
+    def test_nan_in_one_row_names_its_point(self, monkeypatch, pid, model,
+                                            region):
+        p, dspec, lift, store = published_model(pid, model)
+        interior, boundary = one_pass_batches(p, 47)
+        batch = interior if region == "interior" else boundary
+        row = len(batch.points) // 2
+        # words for a dictionary model, the network input for a plain one
+        name = ("write_words" if model == "dictionary"
+                else "write_lifted" if lift else "_write_coordinates")
+        original = getattr(training, name)
+
+        def planted(*args):
+            original(*args)
+            points, value = args[-4:-2]
+            value[np.all(points == batch.points[row], axis=-1)] = np.nan
+
+        monkeypatch.setattr(training, name, planted)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            empirical_losses(store, p, dspec, interior, boundary, lift)
+        assert err.value.row == row
+        what = "batch point" if region == "interior" else "boundary point"
+        where = ("in the fusion with the words" if model == "dictionary"
+                 else f"in the output of layer 1 of {len(store.layers)}")
+        assert str(err.value) == (
+            f"non-finite value {where}; {what} "
+            f"{np.array2string(batch.points[row])}")
 
 
 def input_problem(pid):
@@ -1045,16 +1160,26 @@ class TestInputMemo:
         train(p, p.dictionary, TrainSettings(iterations=6, hidden_width=8,
                                              record_every=3))
         (pool,) = pools
-        assert sorted(pool.memos) == ["bc", "pde"]
-        for role, layout, target in (("pde", operator_layout(p), rhs),
-                                     ("bc", VALUES, boundary_value)):
-            points, ((x, words, coeffs), data) = pool.memos[role]
-            want = predictor_slots(p, p.dictionary, points, p.lift, layout)
-            for got, ref in ((x, want[0]), (words, want[1]),
-                             *zip(coeffs, want[2]), (data, target(p, points))):
-                if isinstance(got, np.ndarray):
-                    assert not got.flags.writeable
-                assert np.array_equal(got, ref)
+        m, layout = p.n_bc, operator_layout(p)
+        assert set(pool.memos) == {("pde", m), "bc"}
+        points, ((x, words, coeffs), q, _) = pool.memos["pde", m]
+        bpoints, ((bx, bwords, _), data) = pool.memos["bc"]
+        n, S = len(points), layout.slots
+        want = predictor_slots(p, p.dictionary, points, p.lift, layout)
+        bwant = predictor_slots(p, p.dictionary, bpoints, p.lift, VALUES)
+        # the pass's rows: the interior's value slot, the boundary values
+        # copied from the boundary batch's own arrays, the other slots
+        for got, ref in ((x[:n], want[0][0]), (words[:n], want[1][0]),
+                         (x[n + m:].reshape(S - 1, n, -1), want[0][1:]),
+                         (words[n + m:].reshape(S - 1, n, -1), want[1][1:]),
+                         (x[n:n + m], bwant[0][0]),
+                         (words[n:n + m], bwant[1][0]),
+                         *zip(coeffs, want[2]), (q, rhs(p, points)),
+                         (bx, bwant[0]), (bwords, bwant[1]),
+                         (data, boundary_value(p, bpoints))):
+            if isinstance(got, np.ndarray):
+                assert not got.flags.writeable
+            assert np.array_equal(got, ref)
 
 
 class TestTrainLoop:
