@@ -6,14 +6,17 @@ Usage: python scripts/fingerprint.py [--iterations N] [--seed S]
 For every preset, with its dictionary model (3x50, lifted where the preset
 lifts) and the plain 4x50 baseline, prints one line per digest: of the
 losses and gradients of ``empirical_pde_loss`` and ``empirical_bc_loss``
-at the initial parameters of seed S, on one interior and one boundary
-batch of the published sizes drawn with seed S; then, after training N
-iterations (default 100), of theta, of the records CSV without its
-wall-clock column, of the ``dump-grid`` CSV and, for the problems the
-elliptic bound applies to, of the ``verify_bound`` report JSON.  Two
-versions of the code that print the same lines computed the same bits.
-The ``losses`` line covers the single-batch paths alone, so it stays the
-same across changes to how training sums its gradients.
+(``losses``) and of ``empirical_losses`` on both batches together, the
+step that ``train`` takes (``step``), at the initial parameters of seed S,
+on one interior and one boundary batch of the published sizes drawn with
+seed S; then, after training N iterations (default 100), of theta, of the
+records CSV without its wall-clock column, of the ``dump-grid`` CSV and,
+for the problems the elliptic bound applies to, of the ``verify_bound``
+report JSON.  Two versions of the code that print the same lines computed
+the same bits.  Every one of these paths runs through
+``empirical_losses``, so the ``losses`` and ``step`` lines both change
+when training sums its gradients another way, for instance in other row
+blocks.
 """
 
 import argparse
@@ -38,28 +41,33 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def single_batch_losses(p, dspec, lift: bool, model: str, seed: int) -> bytes:
-    """Loss and gradient bytes of the PDE and the boundary loss at the
-    initial parameters that ``train`` draws for ``seed``."""
+def to_bytes(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype="<f8").tobytes() for v in values)
+
+
+def initial_losses(p, dspec, lift: bool, model: str, seed: int) -> tuple:
+    """Loss and gradient bytes of the PDE and the boundary loss, then of
+    the training step on both batches, at the initial parameters that
+    ``train`` draws for ``seed``."""
     store = init_mlp(MlpConfig(training.network_input_dim(p, lift),
                                (50,) * MODELS[model], dspec.word_count,
                                seed=seed))
     rng = np.random.default_rng(seed)
     batches = sample_interior(p, p.n_pde, rng), sample_boundary(p, p.n_bc, rng)
-    parts = []
-    for fn, batch in zip((training.empirical_pde_loss,
-                          training.empirical_bc_loss), batches):
-        loss, grad = fn(store, p, dspec, batch, lift)
-        parts += [np.float64(loss).astype("<f8").tobytes(),
-                  grad.astype("<f8").tobytes()]
-    return b"".join(parts)
+    single = b"".join(
+        to_bytes(*fn(store, p, dspec, batch, lift))
+        for fn, batch in zip((training.empirical_pde_loss,
+                              training.empirical_bc_loss), batches))
+    step = to_bytes(*training.empirical_losses(store, p, dspec, *batches,
+                                                lift))
+    return single, step
 
 
 def fingerprint(p, model: str, iterations: int, seed: int, tmp: str) -> dict:
     """Digests of one preset and model, named by what they cover."""
     dspec = p.dictionary if model == "dictionary" else DictionarySpec("none")
     lift = p.lift and dspec.kind != "none"
-    losses = sha256(single_batch_losses(p, dspec, lift, model, seed))
+    single, step = initial_losses(p, dspec, lift, model, seed)
     records, store = training.train(
         p, dspec, training.TrainSettings(hidden_layers=MODELS[model],
                                          iterations=iterations, seed=seed),
@@ -78,7 +86,7 @@ def fingerprint(p, model: str, iterations: int, seed: int, tmp: str) -> dict:
     if rc != 0:
         raise RuntimeError(f"dump-grid exited {rc} on {p.id} {model}")
     with open(grid_path, "rb") as fh:
-        digests = {"losses": losses,
+        digests = {"losses": sha256(single), "step": sha256(step),
                    "theta": sha256(store.theta.astype("<f8").tobytes()),
                    "records": sha256(records_csv.encode()),
                    "grid": sha256(fh.read())}

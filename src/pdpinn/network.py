@@ -14,11 +14,15 @@ adjoint of a retained pass writes each layer's adjoint over that layer's
 input and builds tanh''' itself, so a pass's gradient can be taken once.
 A pass may carry a second row group of boundary points with values only,
 after the interior's value slot, so a training step takes both losses
-from one pass.  Training evaluates its recorded error with forward-only
-passes of ``training.FORWARD_CHUNK`` points; after two published
-iterations a run's pool holds about 20.1-20.3 MiB on poisson2d, 15.7-16.4
-on diffusion1d, 4.7-4.9 on sphere and 2.2-2.3 on poisson1d (dictionary and
-plain models).
+from one pass.  A training step runs one such pass per row block of
+``training.TRAIN_BLOCK`` points or fewer, each block on a pool of its
+own (``SlotBuffers.parts``).  Training evaluates its recorded error with
+forward-only passes of ``training.FORWARD_CHUNK`` points.  After two
+published iterations a run's pools hold about 20.1-20.3 MiB on poisson2d
+and 15.7-16.4 on diffusion1d, in two pools for their two blocks of 500
+points, and 4.7-4.9 on sphere and 2.2-2.3 on poisson1d, in one pool
+(dictionary and plain models).  Two half blocks take the same memory as
+one whole pass.
 """
 
 from __future__ import annotations
@@ -169,13 +173,23 @@ class SlotBuffers:
     inputs (``predictor_slots``) keeps arrays of its own.  ``memo`` keeps
     one built input per role.  A pool serves one run or one thread, so
     each memo role always means the same problem, dictionary and slot
-    layout.
+    layout.  ``parts(count)`` serves the blocks of a split pass, each from
+    a pool of its own.
     """
 
     def __init__(self):
         self.arrays = {}
         self.views = {}                  # (role, shape) -> view of arrays[role]
         self.memos = {}
+        self.others = []                 # the pools of parts after the first
+
+    def parts(self, count: int) -> list:
+        """``count`` pools for the parts of a split pass: this one, then
+        pools kept with it, so the parts can run on threads of their own
+        and every later split reuses their arrays and memos."""
+        while len(self.others) < count - 1:
+            self.others.append(type(self)())
+        return [self, *self.others[:count - 1]]
 
     def take(self, role, shape: tuple) -> np.ndarray:
         view = self.views.get((role, shape))

@@ -43,6 +43,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # not grow with ``n_pred``.
 FORWARD_CHUNK = 1024
 
+# Most interior points per row block of a training step.  poisson2d and
+# diffusion1d (1000 points) train on two blocks of 500, one per CPU of a
+# 2-core host, and poisson1d and sphere (100 and 200) on one.  On that host
+# four blocks of 250 were slower than two of 500 (a poisson2d iteration
+# took 11.8-12.9 ms against 9.9-10.0 ms, one BLAS thread).  The block
+# count depends on the batch sizes alone, so a run gives the same bits on
+# any number of CPUs.
+TRAIN_BLOCK = 512
+
 # Seed of the prediction-error sample, separate from the training noise.
 EVAL_SEED = 777
 
@@ -246,20 +255,21 @@ def predictor_slots(p: ProblemSpec, dspec: DictionarySpec, points: np.ndarray,
 def _slot_pass(store: ParamStore, layout: SlotLayout, slots,
                points: np.ndarray, start: int = 0,
                retain: bool = True, buffers: SlotBuffers | None = None,
-               boundary: np.ndarray | None = None) -> SlotPass:
+               boundary: np.ndarray | None = None,
+               boundary_start: int = 0) -> SlotPass:
     """``SlotPass`` on ``predictor_slots`` output for ``points[start:]``,
-    and for the ``boundary`` points in its value slot when given (then
-    ``start`` is 0); a NaN/Inf report names the sample point and its row in
-    ``points`` or in ``boundary``."""
+    and for ``boundary[boundary_start:]`` in its value slot when
+    ``boundary`` is given; a NaN/Inf report names the sample point and its
+    row in ``points`` or in ``boundary``."""
     try:
         return SlotPass(store.layers, layout, *slots, retain=retain,
-                        buffers=buffers,
-                        boundary=0 if boundary is None else len(boundary))
+                        buffers=buffers, boundary=0 if boundary is None
+                        else len(boundary) - boundary_start)
     except NonFiniteError as e:
-        if boundary is not None and e.row >= len(points):
-            row, what, pts = e.row - len(points), "boundary point", boundary
-        else:
-            row, what, pts = start + e.row, "batch point", points
+        row, what, pts = start + e.row, "batch point", points
+        if boundary is not None and row >= len(points):
+            row += boundary_start - len(points)
+            what, pts = "boundary point", boundary
         raise NonFiniteError(
             f"{e}; {what} {np.array2string(pts[row])}", row=row) from None
 
@@ -272,8 +282,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The threads of predictor_fields, shared by every call in the process and
-# built on the first call that has chunks to share.
+# The threads of predictor_fields and of the training row blocks, shared by
+# every call in the process and built on the first call that has chunks
+# or blocks to share.
 _chunk_pool = None
 _chunk_pool_lock = threading.Lock()
 
@@ -389,21 +400,36 @@ def empirical_losses(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
                      interior: SampleBatch | None,
                      boundary: SampleBatch | None, lift: bool = False,
                      buffers: SlotBuffers | None = None):
-    """(loss_pde, loss_bc, gradient of their sum) from one slot pass.
+    """(loss_pde, loss_bc, gradient of their sum) from one slot pass per
+    row block.
 
     loss_pde is the mean squared PDE residual F_L - q over the interior
     batch, loss_bc the mean squared boundary mismatch over the boundary
     batch; either batch may be None, which leaves its group out of the
-    pass and reads its loss as 0.0.  The pass carries the operator slots
-    of the interior points and the boundary points in its value slot
-    (``SlotPass`` with a boundary group); dL/dF is 2 r / n on the n L rows
-    and 2 r / m on the m boundary rows.  The interior's inputs are written
-    straight into the pass's rows, and the boundary's value-only inputs
-    into arrays of their own, copied into the rows.  A pool (``buffers``,
-    or a fresh one when None) keeps each group's inputs and its q or
-    boundary data, built again only when its points change: the fixed
-    boundary points of poisson1d and sphere, or ``fresh_batches=False``,
-    reuse them.
+    passes and reads its loss as 0.0.
+
+    Both batches are cut into ceil(n / ``TRAIN_BLOCK``) near-equal blocks
+    of rows, n being the interior's size (the boundary's without an
+    interior batch), so the cut depends on the batch sizes alone.  Block i
+    runs one pass over the operator slots of its interior rows with its
+    boundary rows in the value slot (``SlotPass`` with a boundary group),
+    on the i-th pool of ``buffers.parts``; dL/dF is 2 r / n on its L rows
+    and 2 r / m on its boundary rows, with the whole batches' n and m.
+    The blocks run on the chunk pool (``_map_in_order``), and their
+    squared-residual sums and gradients are added in block order, so the
+    result is the same on any number of CPUs; one block makes the
+    unsplit pass's calls.  A NaN/Inf report names the point's row in the
+    whole interior or boundary batch.  When several blocks fail, the
+    lowest block is reported, and within it an interior point before a
+    boundary point.
+
+    Each block's interior inputs are written straight into its pass's
+    rows, and its boundary's value-only inputs into arrays of their own,
+    copied into the rows.  Block 0 runs on ``buffers`` (a fresh pool when
+    None) and every later block on a pool kept in it; each keeps its
+    groups' inputs and their q or boundary data, built again only when
+    its points change: the fixed boundary points of poisson1d and sphere,
+    or ``fresh_batches=False``, reuse them.
     """
     if interior is not None and interior.region != "interior":
         raise ValueError("PDE loss needs an interior batch")
@@ -413,47 +439,66 @@ def empirical_losses(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
         raise ValueError("need an interior or a boundary batch")
     if buffers is None:
         buffers = SlotBuffers()
-    n = m = 0
-    bpts = None
-    if boundary is not None:
-        bpts = boundary.points
-        m = len(bpts)
-        (bx, bwords, _), data = buffers.memo("bc", bpts, lambda: (
-            predictor_slots(p, dspec, bpts, lift, VALUES, buffers.scope("bc")),
-            boundary_value(p, bpts)))
-    if interior is None:
-        pts, layout, slots = bpts[:0], VALUES, (bx, bwords, ())
-    else:
-        pts, layout = interior.points, operator_layout(p)
-        n = len(pts)
-        # the rows' layout depends on m, so each m has arrays of its own
-        role = ("pde", m)
+    pts = None if interior is None else interior.points
+    bpts = None if boundary is None else boundary.points
+    n = 0 if pts is None else len(pts)
+    m = 0 if bpts is None else len(bpts)
+    blocks = max(1, -(-(m if pts is None else n) // TRAIN_BLOCK))
+    pools = buffers.parts(blocks)
 
-        def build():
-            slots = predictor_slots(p, dspec, pts, lift, layout,
-                                    buffers.scope(role), boundary=m)
-            # the boundary rows, which each pass fills; in a list, they
-            # stay writable in the memo
-            holes = [a[n:n + m] for a in slots[:2] if a is not None]
-            return slots, rhs(p, pts), holes
+    def block(i):
+        # rows [a, b) of the interior and [c, d) of the boundary
+        a, b = n * i // blocks, n * (i + 1) // blocks
+        c, d = m * i // blocks, m * (i + 1) // blocks
+        k, j, pool = b - a, d - c, pools[i]
+        if bpts is not None:
+            bpart = bpts[c:d]
+            (bx, bwords, _), data = pool.memo("bc", bpart, lambda: (
+                predictor_slots(p, dspec, bpart, lift, VALUES,
+                                pool.scope("bc")),
+                boundary_value(p, bpart)))
+        if pts is None:
+            points, layout, slots = bpts[:0], VALUES, (bx, bwords, ())
+        else:
+            points, part, layout = pts[:b], pts[a:b], operator_layout(p)
+            # the rows' layout depends on j, so each j has arrays of its own
+            role = ("pde", j)
 
-        slots, q, holes = buffers.memo(role, pts, build)
-        if m:
-            for hole, values in zip(holes, (bx, bwords)):
-                hole[...] = values[0]
-    fwd = _slot_pass(store, layout, slots, pts, buffers=buffers,
-                     boundary=bpts)
-    gF = np.zeros_like(fwd.rows)
-    loss_pde = loss_bc = 0.0
-    if n:
-        r = fwd.rows[-n:] - q
-        loss_pde = float(np.mean(r * r))
-        gF[-n:] = (2.0 / n) * r
-    if m:
-        r = fwd.rows[n:n + m] - data
-        loss_bc = float(np.mean(r * r))
-        gF[n:n + m] = (2.0 / m) * r
-    return loss_pde, loss_bc, fwd.gradient(gF)
+            def build():
+                slots = predictor_slots(p, dspec, part, lift, layout,
+                                        pool.scope(role), boundary=j)
+                # the boundary rows, which each pass fills; in a list, they
+                # stay writable in the memo
+                holes = [x[k:k + j] for x in slots[:2] if x is not None]
+                return slots, rhs(p, part), holes
+
+            slots, q, holes = pool.memo(role, part, build)
+            if j:
+                for hole, values in zip(holes, (bx, bwords)):
+                    hole[...] = values[0]
+        fwd = _slot_pass(store, layout, slots, points, a, buffers=pool,
+                         boundary=None if bpts is None else bpts[:d],
+                         boundary_start=c)
+        gF = np.zeros_like(fwd.rows)
+        sq_pde = sq_bc = 0.0
+        if k:
+            r = fwd.rows[-k:] - q
+            sq_pde = np.sum(r * r)
+            gF[-k:] = (2.0 / n) * r
+        if j:
+            r = fwd.rows[k:k + j] - data
+            sq_bc = np.sum(r * r)
+            gF[k:k + j] = (2.0 / m) * r
+        return sq_pde, sq_bc, fwd.gradient(gF)
+
+    parts = _map_in_order(block, range(blocks))
+    sq_pde, sq_bc, grad = parts[0]
+    for s_pde, s_bc, g in parts[1:]:
+        sq_pde += s_pde
+        sq_bc += s_bc
+        grad += g
+    return (float(sq_pde / n) if n else 0.0,
+            float(sq_bc / m) if m else 0.0, grad)
 
 
 def empirical_pde_loss(store: ParamStore, p: ProblemSpec, dspec: DictionarySpec,
@@ -531,12 +576,14 @@ def train(p: ProblemSpec, dspec: DictionarySpec, settings: TrainSettings,
     loss passes DIVERGENCE_LIMIT.  Reductions over samples always run in a
     fixed order here, so every run is bit-reproducible for a given seed.
     Each step takes both losses and the gradient of their sum from one
-    slot pass (``empirical_losses``), whose value slot carries the
-    boundary batch after the interior batch.  One ``SlotBuffers`` serves
-    every pass of the run, so fixed-size batches reuse the same work
-    arrays from one iteration to the next.  The inputs of the pass, the
-    boundary batch and the evaluation set each keep arrays of their own
-    in it, and a batch whose points repeat (a fixed boundary, or
+    slot pass per row block (``empirical_losses``), whose value slot
+    carries the block's boundary rows after its interior rows; the blocks
+    run on the chunk pool, and the result does not depend on the number
+    of CPUs.  One ``SlotBuffers`` serves every pass of the run, with a
+    pool kept in it for each further block, so fixed-size batches reuse
+    the same work arrays from one iteration to the next.  The inputs of
+    each pass, its boundary rows and the evaluation set keep arrays of
+    their own, and a batch whose points repeat (a fixed boundary, or
     ``fresh_batches=False``) reuses its words and network input.
     """
     if lift is None:

@@ -94,8 +94,9 @@ def fd_loss_gradient(loss_fn, store, indices, h=1e-4):
 
 @pytest.fixture
 def chunk_workers(monkeypatch):
-    """``set(n)`` has ``training.predictor_fields`` spread its chunks over
-    ``n`` CPUs, None for the CPUs the process may use."""
+    """``set(n)`` has ``training.predictor_fields`` spread its chunks, and
+    ``training.empirical_losses`` its row blocks, over ``n`` CPUs, None for
+    the CPUs the process may use."""
     from pdpinn import training
 
     usable = training._usable_cpus

@@ -161,6 +161,18 @@ class TestSlotBuffers:
         assert all(np.shares_memory(v, pool.arrays[role])
                    for (role, _), v in pool.views.items())
 
+    def test_parts_are_kept_pools_of_their_own(self):
+        pool = SlotBuffers()
+        assert pool.parts(1) == [pool] and pool.others == []
+        three = pool.parts(3)
+        assert three[0] is pool and len({id(q) for q in three}) == 3
+        assert all(type(q) is SlotBuffers for q in three)
+        # a later split reuses the kept pools, a smaller one the first few
+        assert all(a is b for a, b in zip(pool.parts(3), three))
+        assert all(a is b for a, b in zip(pool.parts(2), three[:2]))
+        a, b = (q.take("z", (4, 5)) for q in three[:2])
+        assert not np.shares_memory(a, b)
+
 
 class TestCheckpoint:
     def test_bytes_match_per_layer_packing(self, tmp_path):

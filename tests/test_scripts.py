@@ -43,8 +43,8 @@ def test_fingerprint_prints_every_case(capsys):
     assert len(cases) == 8
     bound = {pid for pid, _, name, _ in lines if name == "bound"}
     assert bound == {"poisson1d", "poisson2d"}
-    losses = {(pid, model) for pid, model, name, _ in lines
-              if name == "losses"}
-    assert losses == cases
-    assert len(lines) == 4 * 8 + 2 * 2
+    for digest in ("losses", "step"):
+        assert {(pid, model) for pid, model, name, _ in lines
+                if name == digest} == cases
+    assert len(lines) == 5 * 8 + 2 * 2
     assert all(len(digest) == 64 for *_, digest in lines)

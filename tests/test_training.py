@@ -543,14 +543,17 @@ class TestSlotPass:
         monkeypatch.setattr(training, "SlotBuffers", Recorded)
         p, dspec, lift, store = published_model(pid, model)
         train(p, dspec, TrainSettings(iterations=2), store=store, lift=lift)
-        (pool,) = pools
+        # the run's pool and the pool of its second row block
+        assert len(pools) == 2 and pools[0].others == pools[1:]
         # the adjoints go over the layer inputs and the fusion product, and
         # the third derivative of tanh is one array shared by the layers;
         # the boundary points ride in the interior pass's value rows
-        roles = collections.Counter(k[0] if isinstance(k, tuple) else k
-                                    for k in pool.arrays)
-        assert roles["gh"] == roles["gnet"] == 0 and roles["f3"] <= 1
-        assert sum(a.nbytes for a in pool.arrays.values()) <= limit_mib * 2**20
+        for pool in pools:
+            roles = collections.Counter(k[0] if isinstance(k, tuple) else k
+                                        for k in pool.arrays)
+            assert roles["gh"] == roles["gnet"] == 0 and roles["f3"] <= 1
+        assert sum(a.nbytes for pool in pools
+                   for a in pool.arrays.values()) <= limit_mib * 2**20
 
     @pytest.mark.parametrize("d1", [(), (0, 1)])
     def test_operator_slot_needs_d1_for_exactly_the_second_order_terms(self, d1):
@@ -616,24 +619,27 @@ class TestSlotPass:
 
         def step(state, store, grad):
             adam_step(state, store, grad)
-            pool_ids.append({k: id(a) for k, a in pools[0].arrays.items()})
+            pool_ids.append({(i, k): id(a) for i, pool in enumerate(pools)
+                             for k, a in pool.arrays.items()})
 
         monkeypatch.setattr(training, "SlotBuffers", Recorded)
         monkeypatch.setattr(training, "adam_step", step)
         p = problems.get("poisson2d")
         train(p, p.dictionary,
               TrainSettings(iterations=10, hidden_width=8, record_every=1))
-        assert len(pools) == 1 and len(pool_ids) == 10
+        # the run's pool and the pool of its second row block
+        assert len(pools) == 2 and len(pool_ids) == 10
         # iteration 2 is the first to follow a record-time evaluation
         assert pool_ids[1] == pool_ids[9]
         assert len(pool_ids[1]) > len(pool_ids[0])
-        # the rows of the one pass per step, the boundary batch's own
-        # inputs and the evaluation set hold arrays of their own from the
-        # first iteration on
-        scopes = (("pde", p.n_bc), "bc", "eval")
-        inputs = [k for k in pool_ids[0]
+        # the rows of each block's one pass per step, the boundary block's
+        # own inputs and the evaluation set hold arrays of their own from
+        # the first iteration on
+        scopes = (("pde", p.n_bc // 2), "bc", "eval")
+        inputs = [(i, k) for i, k in pool_ids[0]
                   if isinstance(k, tuple) and k[0] in scopes]
-        assert {k[0] for k in inputs} == set(scopes)
+        assert {(i, k[0]) for i, k in inputs} == {
+            (0, s) for s in scopes} | {(1, s) for s in scopes[:2]}
         assert all(pool_ids[9][k] == pool_ids[0][k] for k in inputs)
 
     @pytest.mark.parametrize("pid", ["poisson2d", "sphere"])
@@ -794,6 +800,138 @@ class TestOnePass:
         assert str(err.value) == (
             f"non-finite value {where}; {what} "
             f"{np.array2string(batch.points[row])}")
+
+
+def training_run(pid, model, iterations=3):
+    """Records and theta of a few published-size iterations."""
+    p, dspec, lift, store = published_model(pid, model)
+    records, st = train(p, dspec, TrainSettings(iterations=iterations,
+                                                record_every=1),
+                        store=store, lift=lift)
+    return [(r.iteration, r.loss_pde, r.loss_bc, r.error_predict)
+            for r in records], st.flat()
+
+
+def plant_nan(monkeypatch, points):
+    """Has every word build write NaN into the value of each of
+    ``points``."""
+    original = training.write_words
+
+    def planted(*args):
+        original(*args)
+        pts, value = args[-4:-2]
+        for point in points:
+            value[np.all(pts == point, axis=-1)] = np.nan
+
+    monkeypatch.setattr(training, "write_words", planted)
+
+
+class TestRowBlocks:
+    """``empirical_losses`` cuts each batch into ceil(n / TRAIN_BLOCK) row
+    blocks, runs them on the chunk pool and adds their gradients."""
+
+    @pytest.mark.parametrize("model", ["dictionary", "plain"])
+    def test_training_is_bitwise_on_one_or_two_cpus(self, chunk_workers,
+                                                    model):
+        runs = []
+        for workers in (1, 2):
+            chunk_workers(workers)
+            runs.append(training_run("poisson2d", model))
+        (records, theta), (records2, theta2) = runs
+        assert len(records) == 3 and records == records2
+        assert same_bits(theta, theta2)
+
+    @pytest.mark.parametrize("pid", ["poisson1d", "sphere"])
+    def test_small_presets_run_one_unsplit_block(self, monkeypatch, pid):
+        runs = []
+        original = training._slot_pass
+
+        def counted(*args, **kw):
+            fwd = original(*args, **kw)
+            if fwd.retain:
+                passes.append((fwd.n, fwd.m))
+            return fwd
+
+        monkeypatch.setattr(training, "_slot_pass", counted)
+        for block in (training.TRAIN_BLOCK, 1 << 30):
+            passes = []
+            monkeypatch.setattr(training, "TRAIN_BLOCK", block)
+            runs.append(training_run(pid, "dictionary"))
+            p = problems.get(pid)
+            assert passes == [(p.n_pde, p.n_bc)] * 3
+        assert runs[0][0] == runs[1][0] and same_bits(runs[0][1], runs[1][1])
+
+    @staticmethod
+    def ragged():
+        """poisson2d's dictionary model on 1025 interior points (three
+        blocks of 341, 342 and 342) and 401 boundary points (133, 134 and
+        134)."""
+        p, dspec, lift, store = published_model("poisson2d", "dictionary")
+        rng = np.random.default_rng(48)
+        return (p, dspec, lift, store, sample_interior(p, 1025, rng),
+                sample_boundary(p, 401, rng))
+
+    def test_ragged_blocks_match_fd_and_the_unsplit_pass(self, monkeypatch):
+        p, dspec, lift, store, interior, boundary = self.ragged()
+        pool = SlotBuffers()
+
+        def total(st):
+            lp, lb, grad = empirical_losses(st, p, dspec, interior, boundary,
+                                            lift, pool)
+            return lp + lb, grad
+
+        assert directional_fd_gap(total, store,
+                                  np.random.default_rng(49)) <= 1e-5
+        lp, lb, grad = empirical_losses(store, p, dspec, interior, boundary,
+                                        lift)
+        assert len(pool.others) == 2
+        monkeypatch.setattr(training, "TRAIN_BLOCK", 1 << 30)
+        want_pde, want_bc, want = empirical_losses(store, p, dspec, interior,
+                                                   boundary, lift)
+        assert abs(lp - want_pde) <= 1e-14 * want_pde
+        assert abs(lb - want_bc) <= 1e-14 * want_bc
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("region,row", [("interior", 400),
+                                            ("boundary", 200)])
+    def test_nan_in_a_second_block_row_names_its_row_in_the_batch(
+            self, chunk_workers, monkeypatch, workers, region, row):
+        chunk_workers(workers)
+        p, dspec, lift, store, interior, boundary = self.ragged()
+        batch = interior if region == "interior" else boundary
+        plant_nan(monkeypatch, [batch.points[row]])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            empirical_losses(store, p, dspec, interior, boundary, lift)
+        assert err.value.row == row
+        what = "batch point" if region == "interior" else "boundary point"
+        assert str(err.value) == (
+            f"non-finite value in the fusion with the words; {what} "
+            f"{np.array2string(batch.points[row])}")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("planted,named", [
+        # a boundary row of block 0 and an interior row of block 1: the
+        # lowest block wins over the interior-first order of one pass
+        ((("boundary", 10), ("interior", 400)), ("boundary", 10)),
+        # both in block 1: the interior point comes first in its pass
+        ((("boundary", 200), ("interior", 400)), ("interior", 400))])
+    def test_the_lowest_failing_block_is_named(self, chunk_workers,
+                                               monkeypatch, workers, planted,
+                                               named):
+        chunk_workers(workers)
+        p, dspec, lift, store, interior, boundary = self.ragged()
+        batches = {"interior": interior, "boundary": boundary}
+        plant_nan(monkeypatch, [batches[region].points[row]
+                                for region, row in planted])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError) as err:
+            empirical_losses(store, p, dspec, interior, boundary, lift)
+        region, row = named
+        assert err.value.row == row
+        assert str(err.value).endswith(
+            np.array2string(batches[region].points[row]))
 
 
 def input_problem(pid):
@@ -1100,11 +1238,14 @@ class TestInputMemo:
         sizes = count_word_builds(monkeypatch)
         train(p, p.dictionary, TrainSettings(iterations=7, hidden_width=8,
                                              n_pred=50, record_every=100))
-        # the evaluation set, then one PDE batch per iteration
+        # the evaluation set, then one PDE batch per iteration and row
+        # block; each preset's batches split into equal blocks
+        blocks = -(-p.n_pde // training.TRAIN_BLOCK)
         assert sizes[0] == 50
-        assert sizes.count(p.n_pde) == 7
-        assert sizes.count(p.n_bc) == (1 if fixed_boundary else 7)
-        assert len(sizes) == 1 + 7 + sizes.count(p.n_bc)
+        assert sizes.count(p.n_pde // blocks) == 7 * blocks
+        assert sizes.count(p.n_bc // blocks) == (
+            (1 if fixed_boundary else 7) * blocks)
+        assert len(sizes) == 1 + 7 * blocks + sizes.count(p.n_bc // blocks)
 
     def test_fixed_boundary_data_is_evaluated_once(self, monkeypatch):
         calls = {"rhs": 0, "boundary_value": 0}
